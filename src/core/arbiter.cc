@@ -7,24 +7,145 @@
 
 namespace bulksc {
 
-Arbiter::Arbiter(EventQueue &eq, Network &n, NodeId node_,
-                 Tick processing_, bool rsig_opt, unsigned max_commits)
-    : SimObject(eq, "arbiter"), net(n), node(node_),
-      processing(processing_), rsigOpt(rsig_opt),
-      maxCommits(max_commits)
+ArbiterCore::ArbiterCore(EventQueue &eq, const std::string &name,
+                         Network &n, NodeId base_, NodeId home_)
+    : SimObject(eq, name), net(n), base(base_), home(home_)
 {}
 
 void
-Arbiter::touchStats()
+ArbiterCore::requestLost(NodeId to, std::uint64_t txn)
+{
+    ++stats_.lostRequests;
+    EVENT_TRACE(TraceEventType::FaultInject, curTick(),
+                trackArb(static_cast<unsigned>(to - base)), txn,
+                static_cast<std::uint64_t>(FaultKind::ArbReqLoss));
+}
+
+bool
+ArbiterCore::dedupRequest(ProcId p, std::uint64_t txn,
+                          const Reply &reply,
+                          const std::shared_ptr<Signature> &w)
+{
+    auto it = txns.find(p);
+    if (it != txns.end() && it->second.txn == txn) {
+        ++stats_.dupRequests;
+        if (it->second.decided)
+            sendReply(p, it->second.ok, reply, home, w, txn);
+        return true;
+    }
+    txns[p] = TxnRecord{txn, false, false};
+    return false;
+}
+
+void
+ArbiterCore::conclude(ProcId p, bool ok, const Reply &reply,
+                      NodeId from, std::shared_ptr<Signature> w)
+{
+    TxnRecord &rec = txns[p];
+    rec.decided = true;
+    rec.ok = ok;
+    if (ok)
+        ++stats_.grants;
+    else
+        ++stats_.denials;
+    EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
+                trackArb(static_cast<unsigned>(from - base)), 0,
+                pendingW(), ok ? 1 : 0);
+    sendReply(p, ok, reply, from, std::move(w), rec.txn);
+}
+
+void
+ArbiterCore::sendReply(ProcId p, bool ok, const Reply &reply,
+                       NodeId from, std::shared_ptr<Signature> w,
+                       std::uint64_t txn)
+{
+    MsgFootprint fp;
+    fp.wsig = std::move(w);
+    if (net.sendLossy(from, p, TrafficClass::Other, 8,
+                      FaultKind::ArbGrantLoss, true,
+                      [reply, ok] { reply(ok); }, fp)) {
+        ++stats_.lostReplies;
+        EVENT_TRACE(TraceEventType::FaultInject, curTick(),
+                    trackArb(static_cast<unsigned>(from - base)), txn,
+                    static_cast<std::uint64_t>(
+                        FaultKind::ArbGrantLoss));
+    }
+}
+
+void
+ArbiterCore::preArbitrate(ProcId p, std::function<void()> granted)
+{
+    ++stats_.preArbitrations;
+    preArbQueue.emplace_back(p, std::move(granted));
+    tryActivatePreArb();
+}
+
+void
+ArbiterCore::tryActivatePreArb()
+{
+    if (preArbOwner != kNoOwner || preArbQueue.empty() || pendingW())
+        return;
+    auto [p, granted] = std::move(preArbQueue.front());
+    preArbQueue.pop_front();
+    preArbOwner = p;
+    net.send(home, p, TrafficClass::Other, 8,
+             [granted = std::move(granted)] { granted(); });
+}
+
+void
+ArbiterCore::touchStats()
 {
     Tick now = curTick();
     Tick dt = now - lastTouch;
+    std::size_t n = pendingW();
     stats_.pendingIntegral +=
-        static_cast<double>(wList.size()) * static_cast<double>(dt);
-    if (!wList.empty())
+        static_cast<double>(n) * static_cast<double>(dt);
+    if (n)
         stats_.nonEmptyTicks += dt;
     lastTouch = now;
 }
+
+void
+ArbiterCore::wAccepted(const std::shared_ptr<Signature> &w)
+{
+    touchStats();
+    wInsertTick[w.get()] = curTick();
+}
+
+void
+ArbiterCore::wReleased(const std::shared_ptr<Signature> &w)
+{
+    auto in = wInsertTick.find(w.get());
+    if (in == wInsertTick.end())
+        return;
+    touchStats();
+    stats_.occupancy.sample(static_cast<double>(curTick() - in->second));
+    wInsertTick.erase(in);
+}
+
+std::uint64_t
+ArbiterCore::fingerprintCore(std::uint64_t h) const
+{
+    std::uint64_t tc = 0;
+    for (const auto &[p, rec] : txns) {
+        tc += mix64(mix64(p) ^ rec.txn ^
+                    (std::uint64_t{rec.decided} << 62) ^
+                    (std::uint64_t{rec.ok} << 61));
+    }
+    h = mix64(h ^ tc);
+    h = mix64(h ^ preArbOwner);
+    std::uint64_t pq = 0x9; // non-zero so an empty queue still folds
+    for (const auto &e : preArbQueue)
+        pq = mix64(pq ^ e.first);
+    return mix64(h ^ pq);
+}
+
+Arbiter::Arbiter(EventQueue &eq, Network &n, NodeId node_,
+                 Tick processing_, bool rsig_opt, unsigned max_commits)
+    : ArbiterCore(eq, "arbiter", n, node_, node_), node(node_),
+      processing(processing_), rsigOpt(rsig_opt),
+      maxCommits(max_commits)
+{}
 
 bool
 Arbiter::collides(const Signature &s) const
@@ -37,62 +158,9 @@ Arbiter::collides(const Signature &s) const
 }
 
 void
-Arbiter::concludeAndReply(ProcId p, bool ok,
-                          const std::function<void(bool)> &reply,
-                          std::shared_ptr<Signature> w)
-{
-    TxnRecord &rec = txns[p];
-    rec.decided = true;
-    rec.ok = ok;
-
-    MsgFootprint fp;
-    fp.wsig = std::move(w);
-    if (faults &&
-        faults->dropMessage(FaultKind::ArbGrantLoss, curTick(),
-                            static_cast<int>(TrafficClass::Other))) {
-        ++stats_.lostReplies;
-        EVENT_TRACE(TraceEventType::FaultInject, curTick(),
-                    trackArb(0), rec.txn,
-                    static_cast<std::uint64_t>(
-                        FaultKind::ArbGrantLoss));
-        // The bits still travel; the message just never arrives.
-        net.send(node, p, TrafficClass::Other, 8, [] {}, fp);
-    } else {
-        net.send(node, p, TrafficClass::Other, 8,
-                 [reply, ok] { reply(ok); }, fp);
-    }
-    if (faults &&
-        faults->duplicateMessage(
-            curTick(), static_cast<int>(TrafficClass::Other))) {
-        net.send(node, p, TrafficClass::Other, 8,
-                 [reply, ok] { reply(ok); }, fp);
-    }
-}
-
-bool
-Arbiter::dedupRequest(ProcId p, std::uint64_t txn,
-                      const std::function<void(bool)> &reply)
-{
-    auto it = txns.find(p);
-    if (it != txns.end() && it->second.txn == txn) {
-        ++stats_.dupRequests;
-        // Duplicate of a decided transaction: answer from the cache
-        // (never decide twice — a granted W is already in the list and
-        // would collide with itself). Still deciding: swallow; the
-        // in-flight decision's reply is on its way.
-        if (it->second.decided)
-            concludeAndReply(p, it->second.ok, reply);
-        return true;
-    }
-    txns[p] = TxnRecord{txn, false, false};
-    return false;
-}
-
-void
 Arbiter::requestCommit(ProcId p, std::uint64_t txn,
                        std::shared_ptr<Signature> w,
-                       RProvider r_provider,
-                       std::function<void(bool)> reply)
+                       RProvider r_provider, Reply reply)
 {
     // Request message: with the RSig optimization only W travels.
     unsigned bits = w->empty() ? 16 : w->compressedBits();
@@ -106,34 +174,20 @@ Arbiter::requestCommit(ProcId p, std::uint64_t txn,
                  rfp);
     }
 
-    if (faults &&
-        faults->dropMessage(FaultKind::ArbReqLoss, curTick(),
-                            static_cast<int>(TrafficClass::WrSig))) {
-        ++stats_.lostRequests;
-        EVENT_TRACE(TraceEventType::FaultInject, curTick(),
-                    trackArb(0), txn,
-                    static_cast<std::uint64_t>(FaultKind::ArbReqLoss));
-        net.send(p, node, TrafficClass::WrSig, bits, [] {});
-        return;
-    }
-
     auto deliver = [this, p, txn, w, upfront_r, r_provider, reply] {
-        if (dedupRequest(p, txn, reply))
+        if (dedupRequest(p, txn, reply, w))
             return;
         ++stats_.requests;
 
         // Pre-arbitration: reject everyone but the owner.
-        if (preArbOwner != ~ProcId{0} && preArbOwner != p) {
-            ++stats_.denials;
-            EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
-                        trackArb(0), 0, wList.size(), 0);
+        if (preArbBlocks(p)) {
             eventq.scheduleAfter(processing, [this, p, w, reply] {
-                concludeAndReply(p, false, reply, w);
+                conclude(p, false, reply, node, w);
             });
             return;
         }
-        if (preArbOwner == p)
-            preArbOwner = ~ProcId{0};
+        if (preArbOwnedBy(p))
+            releasePreArb();
 
         decide(p, w, upfront_r, r_provider, std::move(reply));
     };
@@ -141,18 +195,13 @@ Arbiter::requestCommit(ProcId p, std::uint64_t txn,
     MsgFootprint reqFp;
     reqFp.wsig = w;
     reqFp.rsig = upfront_r;
-    net.send(p, node, TrafficClass::WrSig, bits, deliver, reqFp);
-    if (faults &&
-        faults->duplicateMessage(
-            curTick(), static_cast<int>(TrafficClass::WrSig))) {
-        net.send(p, node, TrafficClass::WrSig, bits, deliver, reqFp);
-    }
+    sendRequest(p, node, bits, txn, deliver, reqFp);
 }
 
 void
 Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
                 std::shared_ptr<Signature> r, RProvider r_provider,
-                std::function<void(bool)> reply)
+                Reply reply)
 {
     // The entire check runs atomically at the decision tick: the W
     // list is examined exactly once, and if the R signature turns out
@@ -166,22 +215,14 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
             TRACE_LOG(TraceCat::Commit, curTick(), "arbiter: ",
                       ok ? "grant" : "deny", " for proc ", p,
                       " (pending W list: ", wList.size(), ")");
-            EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
-                        trackArb(0), 0, wList.size(), ok ? 1 : 0);
-            if (ok) {
-                ++stats_.grants;
-                if (w_->empty()) {
-                    ++stats_.emptyWCommits;
-                } else {
-                    touchStats();
-                    wList.push_back(w_);
-                    wInsertTick[w_.get()] = curTick();
-                }
-            } else {
-                ++stats_.denials;
+            if (ok && w_->empty()) {
+                ++stats_.emptyWCommits;
+            } else if (ok) {
+                wAccepted(w_);
+                wList.push_back(w_);
             }
             tryActivatePreArb();
-            concludeAndReply(p, ok, reply, w_);
+            conclude(p, ok, reply, node, w_);
         };
 
         if (wList.empty()) {
@@ -196,11 +237,8 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
                 auto fetched = r_provider();
                 if (!fetched) {
                     // Chunk vanished (squashed); deny.
-                    ++stats_.denials;
-                    EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
-                                trackArb(0), 0, wList.size(), 0);
                     tryActivatePreArb();
-                    concludeAndReply(p, false, reply, w);
+                    conclude(p, false, reply, node, w);
                     return;
                 }
                 MsgFootprint rfp;
@@ -235,40 +273,12 @@ Arbiter::commitDone(const std::shared_ptr<Signature> &w)
 {
     for (auto it = wList.begin(); it != wList.end(); ++it) {
         if (it->get() == w.get()) {
-            touchStats();
-            auto in = wInsertTick.find(w.get());
-            if (in != wInsertTick.end()) {
-                stats_.occupancy.sample(
-                    static_cast<double>(curTick() - in->second));
-                wInsertTick.erase(in);
-            }
+            wReleased(w);
             wList.erase(it);
             tryActivatePreArb();
             return;
         }
     }
-}
-
-void
-Arbiter::preArbitrate(ProcId p, std::function<void()> granted)
-{
-    ++stats_.preArbitrations;
-    preArbQueue.emplace_back(p, std::move(granted));
-    tryActivatePreArb();
-}
-
-void
-Arbiter::tryActivatePreArb()
-{
-    if (preArbOwner != ~ProcId{0} || preArbQueue.empty() ||
-        !wList.empty()) {
-        return;
-    }
-    auto [p, granted] = std::move(preArbQueue.front());
-    preArbQueue.pop_front();
-    preArbOwner = p;
-    net.send(node, p, TrafficClass::Other, 8,
-             [granted = std::move(granted)] { granted(); });
 }
 
 std::uint64_t
@@ -278,19 +288,7 @@ Arbiter::fingerprint() const
     std::uint64_t wl = 0;
     for (const auto &w : wList)
         wl += mix64(w->hash());
-    h = mix64(h ^ wl);
-    std::uint64_t tc = 0;
-    for (const auto &[p, rec] : txns) {
-        tc += mix64(mix64(p) ^ rec.txn ^
-                    (std::uint64_t{rec.decided} << 62) ^
-                    (std::uint64_t{rec.ok} << 61));
-    }
-    h = mix64(h ^ tc);
-    h = mix64(h ^ preArbOwner);
-    std::uint64_t pq = 0x9; // non-zero so an empty queue still folds
-    for (const auto &e : preArbQueue)
-        pq = mix64(pq ^ e.first);
-    return mix64(h ^ pq);
+    return fingerprintCore(mix64(h ^ wl));
 }
 
 } // namespace bulksc

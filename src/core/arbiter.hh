@@ -25,6 +25,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -129,8 +130,145 @@ class ArbiterIface
     virtual std::uint64_t fingerprint() const { return 0; }
 };
 
-/** The single (or combined-with-directory) arbiter of Section 4.2.1. */
-class Arbiter : public SimObject, public ArbiterIface
+/**
+ * The commit-protocol machinery both arbiters share. The central and
+ * distributed arbiters apply one decision rule (grant iff the incoming
+ * R/W signatures miss every W in flight) and differ only in where the
+ * W lists live; everything around that rule lives here once:
+ *
+ *  - the per-processor decision cache that makes retransmitted
+ *    requests idempotent;
+ *  - the request and decision-reply edges, with request loss, grant
+ *    loss and duplication injected by Network::sendLossy();
+ *  - the pre-arbitration owner and queue (Section 3.3), activated
+ *    once no accepted non-empty W is in flight;
+ *  - W-residency accounting: the pending-W integral, non-empty ticks
+ *    and the occupancy histogram of ArbiterStats.
+ */
+class ArbiterCore : public SimObject, public ArbiterIface
+{
+  public:
+    void preArbitrate(ProcId p, std::function<void()> granted) override;
+
+    const ArbiterStats &stats() const override { return stats_; }
+
+    /** Accepted non-empty W signatures in flight. */
+    std::size_t pendingW() const { return wInsertTick.size(); }
+
+  protected:
+    using Reply = std::function<void(bool)>;
+
+    /**
+     * @param base Network node of arbiter module 0; trace tracks are
+     *        numbered from it.
+     * @param home Node that answers duplicates and grants
+     *        pre-arbitration.
+     */
+    ArbiterCore(EventQueue &eq, const std::string &name, Network &net,
+                NodeId base, NodeId home);
+
+    /**
+     * Send processor @p p's commit request to arbiter node @p to. The
+     * request can be lost (arb.req_loss) or duplicated (net.dup); a
+     * lost request is never duplicated.
+     */
+    template <typename F>
+    void
+    sendRequest(ProcId p, NodeId to, unsigned bits, std::uint64_t txn,
+                const F &deliver, const MsgFootprint &fp)
+    {
+        if (net.sendLossy(p, to, TrafficClass::WrSig, bits,
+                          FaultKind::ArbReqLoss, false, deliver, fp)) {
+            requestLost(to, txn);
+        }
+    }
+
+    /**
+     * Idempotence filter at request delivery. @return true iff the
+     * message is a duplicate and was fully handled here: swallowed
+     * while its decision is still in flight, or answered from the
+     * decision cache (never decided twice: a granted W is already
+     * listed and would collide with itself).
+     */
+    bool dedupRequest(ProcId p, std::uint64_t txn, const Reply &reply,
+                      const std::shared_ptr<Signature> &w);
+
+    /**
+     * Count and trace the decision for @p p's current transaction,
+     * cache it, and send the reply from node @p from. @p w is the
+     * decided chunk's W signature; it rides along as the reply's
+     * footprint so the schedule explorer can commute replies to
+     * different processors.
+     */
+    void conclude(ProcId p, bool ok, const Reply &reply, NodeId from,
+                  std::shared_ptr<Signature> w);
+
+    /** Pre-arbitration reserves the arbiter for someone other than
+     *  @p p, whose request must be denied. */
+    bool
+    preArbBlocks(ProcId p) const
+    {
+        return preArbOwner != kNoOwner && preArbOwner != p;
+    }
+
+    bool preArbOwnedBy(ProcId p) const { return preArbOwner == p; }
+
+    /** The owner's request was processed: lift the reservation. */
+    void releasePreArb() { preArbOwner = kNoOwner; }
+
+    /** Hand the arbiter to the next queued pre-arbitration request if
+     *  no accepted non-empty W is in flight. */
+    void tryActivatePreArb();
+
+    /** A granted non-empty W entered the arbiter. */
+    void wAccepted(const std::shared_ptr<Signature> &w);
+
+    /** @p w (accepted earlier or not) left the arbiter. */
+    void wReleased(const std::shared_ptr<Signature> &w);
+
+    /** Fold the shared protocol state (decision cache and
+     *  pre-arbitration) into the arbiter's list digest @p h. */
+    std::uint64_t fingerprintCore(std::uint64_t h) const;
+
+    Network &net;
+    ArbiterStats stats_;
+
+  private:
+    static constexpr ProcId kNoOwner = ~ProcId{0};
+
+    void requestLost(NodeId to, std::uint64_t txn);
+
+    void sendReply(ProcId p, bool ok, const Reply &reply, NodeId from,
+                   std::shared_ptr<Signature> w, std::uint64_t txn);
+
+    void touchStats();
+
+    NodeId base;
+    NodeId home;
+
+    /** Decision cache: the latest transaction seen per processor. */
+    struct TxnRecord
+    {
+        std::uint64_t txn = ~std::uint64_t{0};
+        bool decided = false;
+        bool ok = false;
+    };
+    std::unordered_map<ProcId, TxnRecord> txns;
+
+    ProcId preArbOwner = kNoOwner;
+    std::deque<std::pair<ProcId, std::function<void()>>> preArbQueue;
+
+    /** Tick each accepted non-empty W entered the arbiter. */
+    std::unordered_map<const Signature *, Tick> wInsertTick;
+    Tick lastTouch = 0;
+};
+
+/**
+ * The single (or combined-with-directory) arbiter of Section 4.2.1:
+ * one W list, the RSig fetch round trip, and a cap on simultaneously
+ * committing chunks.
+ */
+class Arbiter : public ArbiterCore
 {
   public:
     /**
@@ -144,88 +282,36 @@ class Arbiter : public SimObject, public ArbiterIface
             bool rsig_opt, unsigned max_commits = 8);
 
     /**
-     * Attach the fault plane. Request/reply loss and duplication
-     * (arb.req_loss, arb.grant_loss, net.drop, net.dup) are injected
-     * here; arb.skip_collision grants every Nth colliding request,
-     * deliberately breaking chunk disambiguation so the analysis
-     * subsystem has SC violations to catch.
+     * Attach the fault plane for arb.skip_collision, which grants
+     * every Nth colliding request, deliberately breaking chunk
+     * disambiguation so the analysis subsystem has SC violations to
+     * catch. Message loss and duplication come from the network.
      */
     void setFaultPlane(FaultPlane *fp) { faults = fp; }
 
     void requestCommit(ProcId p, std::uint64_t txn,
                        std::shared_ptr<Signature> w,
-                       RProvider r_provider,
-                       std::function<void(bool)> reply) override;
+                       RProvider r_provider, Reply reply) override;
 
     void commitDone(const std::shared_ptr<Signature> &w) override;
 
-    void preArbitrate(ProcId p, std::function<void()> granted) override;
-
-    const ArbiterStats &stats() const override { return stats_; }
-
     std::uint64_t fingerprint() const override;
-
-    std::size_t pendingW() const { return wList.size(); }
 
   private:
     void decide(ProcId p, const std::shared_ptr<Signature> &w,
                 std::shared_ptr<Signature> r, RProvider r_provider,
-                std::function<void(bool)> reply);
+                Reply reply);
 
     /** True iff some listed W intersects @p s. */
     bool collides(const Signature &s) const;
 
-    void touchStats();
-
-    void tryActivatePreArb();
-
-    /**
-     * Record the decision for the processor's current transaction and
-     * send the reply (subject to grant-loss / duplication injection).
-     * @p w is the decided chunk's W signature; it rides along as the
-     * reply's footprint so the schedule explorer can commute replies
-     * to different processors (null = unknown, ordered pessimally).
-     */
-    void concludeAndReply(ProcId p, bool ok,
-                          const std::function<void(bool)> &reply,
-                          std::shared_ptr<Signature> w = nullptr);
-
-    /**
-     * Idempotence filter at request delivery. @return true iff the
-     * message is a duplicate and was fully handled here (either
-     * swallowed while the decision is still in flight, or answered
-     * from the decision cache).
-     */
-    bool dedupRequest(ProcId p, std::uint64_t txn,
-                      const std::function<void(bool)> &reply);
-
-    Network &net;
     NodeId node;
     Tick processing;
     bool rsigOpt;
     unsigned maxCommits;
     FaultPlane *faults = nullptr;
 
-    /** Decision cache: the latest transaction seen per processor. */
-    struct TxnRecord
-    {
-        std::uint64_t txn = ~std::uint64_t{0};
-        bool decided = false;
-        bool ok = false;
-    };
-    std::unordered_map<ProcId, TxnRecord> txns;
-
     std::vector<std::shared_ptr<Signature>> wList;
-
-    /** Tick each listed W entered the list (occupancy histogram). */
-    std::unordered_map<const Signature *, Tick> wInsertTick;
-
-    /** Active pre-arbitration owner (kNodeNone when inactive). */
-    ProcId preArbOwner = ~ProcId{0};
-    std::deque<std::pair<ProcId, std::function<void()>>> preArbQueue;
-
-    ArbiterStats stats_;
-    Tick lastTouch = 0;
 };
 
 } // namespace bulksc

@@ -471,21 +471,6 @@ BulkProcessor::maybeArbitrate()
     sendArbAttempt(att);
 }
 
-Tick
-BulkProcessor::resendDelay(std::uint64_t txn, unsigned attempts) const
-{
-    // Exponential backoff, capped, with deterministic +/-25% jitter so
-    // retransmission storms from several starved processors decohere
-    // without perturbing reproducibility.
-    unsigned shift = attempts < 16 ? attempts - 1 : 15;
-    Tick base = bprm.resendTimeout << shift;
-    if (base > bprm.resendTimeoutCap)
-        base = bprm.resendTimeoutCap;
-    return jitteredBackoff(base,
-                           (static_cast<std::uint64_t>(pid) << 48) ^
-                               (txn << 8) ^ attempts);
-}
-
 void
 BulkProcessor::sendArbAttempt(const std::shared_ptr<ArbAttempt> &att)
 {
@@ -504,17 +489,21 @@ BulkProcessor::sendArbAttempt(const std::shared_ptr<ArbAttempt> &att)
         onArbReply(att, granted);
     });
 
-    if (!bprm.harden)
+    if (!resend)
         return;
 
     // Arm the timeout for this attempt. A reply (to any attempt of
-    // this transaction) disarms it by flipping att->replied.
+    // this transaction) disarms it by flipping att->replied. The
+    // jitter key decoheres retransmission storms across processors.
     eventq.scheduleAfter(
-        resendDelay(att->txn, att->attempts),
+        resendBackoff(resend->timeout, resend->timeoutCap,
+                      att->attempts,
+                      (static_cast<std::uint64_t>(pid) << 48) ^
+                          (att->txn << 8)),
         [this, att, sent = att->attempts] {
             if (att->replied || att->attempts != sent)
                 return;
-            if (att->attempts > bprm.maxResend) {
+            if (att->attempts > resend->maxResend) {
                 // Give up: the request (or every reply) keeps
                 // vanishing. The processor stalls here and the
                 // watchdog turns the stall into a deadlock report.
@@ -541,7 +530,7 @@ BulkProcessor::onArbReply(const std::shared_ptr<ArbAttempt> &att,
         return;
     att->replied = true;
     arbAttempts.erase(att->txn);
-    if (bprm.harden)
+    if (resend)
         bstats.resendAttempts.sample(
             static_cast<double>(att->attempts));
 

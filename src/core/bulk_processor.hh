@@ -18,6 +18,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -54,27 +55,6 @@ struct BulkParams
 
     /** Delay before retrying a denied commit request. */
     Tick commitRetryDelay = 30;
-
-    /**
-     * Arm the commit-request timeout/resend machinery. Off by default:
-     * with a reliable interconnect every request gets exactly one
-     * reply, so no timer is ever needed and behaviour is bit-identical
-     * to the unhardened protocol. The System turns it on when the
-     * fault plane can lose or duplicate messages (or --harden forces
-     * it).
-     */
-    bool harden = false;
-
-    /** Resend attempts before giving up on a commit request. A proc
-     *  that gives up stalls; the watchdog reports the deadlock. */
-    unsigned maxResend = 8;
-
-    /** Base commit-request timeout; doubles per attempt (plus
-     *  deterministic jitter) up to resendTimeoutCap. */
-    Tick resendTimeout = 256;
-
-    /** Ceiling for the exponential resend backoff. */
-    Tick resendTimeoutCap = 8192;
 
     /** Consecutive squashes before pre-arbitration kicks in. */
     unsigned preArbThreshold = 6;
@@ -169,6 +149,14 @@ class BulkProcessor : public ProcessorBase
     void onExternalOwnerFetch(LineAddr line) override;
 
     const BulkStats &bulkStats() const { return bstats; }
+
+    /**
+     * Arm the commit-request timeout/resend machinery. Off by default:
+     * with a reliable interconnect every request gets exactly one
+     * reply, so no timer is ever needed. The System arms it when the
+     * fault plane can lose or duplicate messages.
+     */
+    void harden(const ResendConfig &rc) { resend = rc; }
 
     /** Attach an SC conformance checker: committed chunks report
      *  their access logs to it in commit order. */
@@ -306,10 +294,6 @@ class BulkProcessor : public ProcessorBase
     /** Transmit (or retransmit) @p att and arm the resend timer. */
     void sendArbAttempt(const std::shared_ptr<ArbAttempt> &att);
 
-    /** Timeout for attempt number @p attempts (1-based): exponential
-     *  backoff with deterministic jitter. */
-    Tick resendDelay(std::uint64_t txn, unsigned attempts) const;
-
     /** Reply handler shared by all (re)transmissions of @p att. */
     void onArbReply(const std::shared_ptr<ArbAttempt> &att,
                     bool granted);
@@ -319,6 +303,7 @@ class BulkProcessor : public ProcessorBase
 
     BulkParams bprm;
     ArbiterIface &arb;
+    std::optional<ResendConfig> resend; //!< set iff hardened
 
     std::deque<std::unique_ptr<Chunk>> chunks;
     std::uint64_t nextSeq = 0;

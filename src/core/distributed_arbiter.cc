@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/event_trace.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -11,8 +10,9 @@ namespace bulksc {
 DistributedArbiter::DistributedArbiter(EventQueue &eq, Network &n,
                                        NodeId first_node, unsigned count,
                                        Tick processing_, bool rsig_opt)
-    : SimObject(eq, "dist-arbiter"), net(n), firstNode(first_node),
-      processing(processing_), rsigOpt(rsig_opt)
+    : ArbiterCore(eq, "dist-arbiter", n, first_node,
+                  first_node + count),
+      firstNode(first_node), processing(processing_), rsigOpt(rsig_opt)
 {
     fatal_if(count == 0, "need at least one arbiter module");
     modules.resize(count);
@@ -65,101 +65,11 @@ DistributedArbiter::removeFrom(
 }
 
 void
-DistributedArbiter::touchStats()
-{
-    Tick now = curTick();
-    Tick dt = now - lastTouch;
-    stats_.pendingIntegral +=
-        static_cast<double>(activeTxns) * static_cast<double>(dt);
-    if (activeTxns)
-        stats_.nonEmptyTicks += dt;
-    lastTouch = now;
-}
-
-void
-DistributedArbiter::sendReply(ProcId p, bool ok,
-                              const std::function<void(bool)> &reply,
-                              NodeId from, std::shared_ptr<Signature> w)
-{
-    MsgFootprint fp;
-    fp.wsig = std::move(w);
-    if (faults &&
-        faults->dropMessage(FaultKind::ArbGrantLoss, curTick(),
-                            static_cast<int>(TrafficClass::Other))) {
-        ++stats_.lostReplies;
-        EVENT_TRACE(TraceEventType::FaultInject, curTick(),
-                    trackArb(static_cast<unsigned>(from - firstNode)),
-                    0,
-                    static_cast<std::uint64_t>(
-                        FaultKind::ArbGrantLoss));
-        net.send(from, p, TrafficClass::Other, 8, [] {}, fp);
-    } else {
-        net.send(from, p, TrafficClass::Other, 8,
-                 [reply, ok] { reply(ok); }, fp);
-    }
-    if (faults &&
-        faults->duplicateMessage(
-            curTick(), static_cast<int>(TrafficClass::Other))) {
-        net.send(from, p, TrafficClass::Other, 8,
-                 [reply, ok] { reply(ok); }, fp);
-    }
-}
-
-void
-DistributedArbiter::finishDecision(ProcId p, bool ok,
-                                   std::function<void(bool)> reply,
-                                   NodeId from,
-                                   std::shared_ptr<Signature> w)
-{
-    TxnRecord &rec = txns[p];
-    rec.decided = true;
-    rec.ok = ok;
-    if (ok)
-        ++stats_.grants;
-    else
-        ++stats_.denials;
-    EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
-                trackArb(static_cast<unsigned>(from - firstNode)), 0,
-                activeTxns, ok ? 1 : 0);
-    sendReply(p, ok, reply, from, std::move(w));
-}
-
-void
 DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
                                   std::shared_ptr<Signature> w,
-                                  RProvider r_provider,
-                                  std::function<void(bool)> reply)
+                                  RProvider r_provider, Reply reply)
 {
     NodeId gnode = firstNode + static_cast<NodeId>(modules.size());
-
-    // Idempotent dedup: a retransmission of the transaction in flight
-    // is swallowed; one of a decided transaction re-sends the cached
-    // decision (deciding twice would self-collide with the reserved
-    // W signatures).
-    auto it = txns.find(p);
-    if (it != txns.end() && it->second.txn == txn) {
-        ++stats_.dupRequests;
-        if (it->second.decided)
-            sendReply(p, it->second.ok, reply, gnode, w);
-        return;
-    }
-    txns[p] = TxnRecord{txn, false, false};
-
-    if (faults &&
-        faults->dropMessage(FaultKind::ArbReqLoss, curTick(),
-                            static_cast<int>(TrafficClass::WrSig))) {
-        ++stats_.lostRequests;
-        EVENT_TRACE(TraceEventType::FaultInject, curTick(),
-                    trackArb(static_cast<unsigned>(modules.size())),
-                    txn,
-                    static_cast<std::uint64_t>(FaultKind::ArbReqLoss));
-        // The bits travel but never arrive; forget the record so the
-        // retransmission re-enters the decision flow.
-        net.send(p, gnode, TrafficClass::WrSig,
-                 w->empty() ? 16 : w->compressedBits(), [] {});
-        txns.erase(p);
-        return;
-    }
 
     // The processor knows from the signatures which arbiter(s) to
     // contact (Section 4.2.3).
@@ -187,15 +97,16 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
         if (!rsigOpt && r)
             net.send(p, mnode, TrafficClass::RdSig, r->compressedBits(),
                      [] {});
-        net.send(p, mnode, TrafficClass::WrSig, bits,
-                 [this, p, w, r, m, mnode, w_here, reply] {
+        auto deliver = [this, p, txn, w, r, m, mnode, w_here, reply] {
+            if (dedupRequest(p, txn, reply, w))
+                return;
             ++stats_.requests;
             ++nSingle;
-            if (preArbOwner != ~ProcId{0} && preArbOwner != p) {
-                finishDecision(p, false, reply, mnode, w);
+            if (preArbBlocks(p)) {
+                conclude(p, false, reply, mnode, w);
                 return;
             }
-            bool was_owner = preArbOwner == p;
+            bool was_owner = preArbOwnedBy(p);
             // RSig round-trip latency is charged when the list is
             // non-empty at arrival; the decision itself (collision
             // check + list insertion) executes atomically later.
@@ -212,23 +123,20 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
                     bool ok = !moduleCollides(m, *w) &&
                               (!r || modules[m].wList.empty() ||
                                !moduleCollides(m, *r));
-                    if (ok) {
-                        if (w->empty()) {
-                            ++stats_.emptyWCommits;
-                        } else if (w_here) {
-                            touchStats();
-                            modules[m].wList.push_back(w);
-                            wInsertTick[w.get()] = curTick();
-                            ++activeTxns;
-                        }
+                    if (ok && w->empty()) {
+                        ++stats_.emptyWCommits;
+                    } else if (ok && w_here) {
+                        wAccepted(w);
+                        modules[m].wList.push_back(w);
                     }
                     if (was_owner) {
-                        preArbOwner = ~ProcId{0};
+                        releasePreArb();
                         tryActivatePreArb();
                     }
-                    finishDecision(p, ok, reply, mnode, w);
+                    conclude(p, ok, reply, mnode, w);
                 });
-        });
+        };
+        sendRequest(p, mnode, bits, txn, deliver, MsgFootprint{});
         return;
     }
 
@@ -236,17 +144,19 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
     // (Figure 8(b)). Both signatures travel with the request.
     unsigned bits = (w->empty() ? 16 : w->compressedBits()) +
                     (r ? r->compressedBits() : 16);
-    net.send(p, gnode, TrafficClass::WrSig, bits,
-             [this, p, w, r, w_ranges, ranges, gnode, reply] {
+    auto deliver = [this, p, txn, w, r, w_ranges, ranges, gnode,
+                    reply] {
+        if (dedupRequest(p, txn, reply, w))
+            return;
         ++stats_.requests;
         ++nMulti;
-        if (preArbOwner != ~ProcId{0} && preArbOwner != p) {
-            finishDecision(p, false, reply, gnode, w);
+        if (preArbBlocks(p)) {
+            conclude(p, false, reply, gnode, w);
             return;
         }
-        bool was_owner = preArbOwner == p;
+        bool was_owner = preArbOwnedBy(p);
         if (was_owner)
-            preArbOwner = ~ProcId{0};
+            releasePreArb();
 
         // Early deny from the G-arbiter's own W cache.
         bool g_collide = false;
@@ -259,12 +169,13 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
         if (g_collide) {
             if (was_owner)
                 tryActivatePreArb();
-            finishDecision(p, false, reply, gnode, w);
+            conclude(p, false, reply, gnode, w);
             return;
         }
 
         // Fan the signatures out to the involved modules; each module
-        // votes and reserves on yes.
+        // votes and reserves on yes. The fan-out and votes are
+        // reliable: they model on-chip wiring of one logical arbiter.
         auto votes = std::make_shared<unsigned>(
             static_cast<unsigned>(ranges.size()));
         auto all_ok = std::make_shared<bool>(true);
@@ -299,77 +210,37 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
                                                       reserved,
                                                       was_owner,
                                                       reply] {
-                        if (*all_ok) {
-                            if (w->empty()) {
-                                ++stats_.emptyWCommits;
-                            } else {
-                                touchStats();
-                                gList.push_back(w);
-                                wInsertTick[w.get()] = curTick();
-                                ++activeTxns;
-                            }
+                        // Only the final accept counts as in flight;
+                        // the tentative module reservations above can
+                        // still roll back.
+                        if (*all_ok && w->empty()) {
+                            ++stats_.emptyWCommits;
+                        } else if (*all_ok) {
+                            wAccepted(w);
+                            gList.push_back(w);
                         } else {
                             for (unsigned rm : *reserved)
                                 removeFrom(modules[rm].wList, w);
                         }
                         if (was_owner)
                             tryActivatePreArb();
-                        finishDecision(p, *all_ok, reply, gnode, w);
+                        conclude(p, *all_ok, reply, gnode, w);
                     });
                 });
             });
         }
-    });
+    };
+    sendRequest(p, gnode, bits, txn, deliver, MsgFootprint{});
 }
 
 void
 DistributedArbiter::commitDone(const std::shared_ptr<Signature> &w)
 {
-    bool present = false;
-    for (auto &m : modules) {
-        std::size_t before = m.wList.size();
+    for (auto &m : modules)
         removeFrom(m.wList, w);
-        if (m.wList.size() != before)
-            present = true;
-    }
-    std::size_t gbefore = gList.size();
     removeFrom(gList, w);
-    if (gList.size() != gbefore)
-        present = true;
-    if (present && activeTxns) {
-        touchStats();
-        --activeTxns;
-    }
-    auto in = wInsertTick.find(w.get());
-    if (in != wInsertTick.end()) {
-        stats_.occupancy.sample(
-            static_cast<double>(curTick() - in->second));
-        wInsertTick.erase(in);
-    }
+    wReleased(w);
     tryActivatePreArb();
-}
-
-void
-DistributedArbiter::preArbitrate(ProcId p, std::function<void()> granted)
-{
-    ++stats_.preArbitrations;
-    preArbQueue.emplace_back(p, std::move(granted));
-    tryActivatePreArb();
-}
-
-void
-DistributedArbiter::tryActivatePreArb()
-{
-    if (preArbOwner != ~ProcId{0} || preArbQueue.empty() ||
-        activeTxns != 0) {
-        return;
-    }
-    auto [p, granted] = std::move(preArbQueue.front());
-    preArbQueue.pop_front();
-    preArbOwner = p;
-    NodeId gnode = firstNode + static_cast<NodeId>(modules.size());
-    net.send(gnode, p, TrafficClass::Other, 8,
-             [granted = std::move(granted)] { granted(); });
 }
 
 std::uint64_t
@@ -386,19 +257,7 @@ DistributedArbiter::fingerprint() const
     for (const auto &w : gList)
         gl += mix64(w->hash());
     h = mix64(h ^ gl);
-    std::uint64_t tc = 0;
-    for (const auto &[p, rec] : txns) {
-        tc += mix64(mix64(p) ^ rec.txn ^
-                    (std::uint64_t{rec.decided} << 62) ^
-                    (std::uint64_t{rec.ok} << 61));
-    }
-    h = mix64(h ^ tc);
-    h = mix64(h ^ activeTxns);
-    h = mix64(h ^ preArbOwner);
-    std::uint64_t pq = 0x9;
-    for (const auto &e : preArbQueue)
-        pq = mix64(pq ^ e.first);
-    return mix64(h ^ pq);
+    return fingerprintCore(mix64(h ^ pendingW()));
 }
 
 } // namespace bulksc

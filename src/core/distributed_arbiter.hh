@@ -13,7 +13,6 @@
 #ifndef BULKSC_CORE_DISTRIBUTED_ARBITER_HH
 #define BULKSC_CORE_DISTRIBUTED_ARBITER_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -21,8 +20,15 @@
 
 namespace bulksc {
 
-/** Distributed arbiter: per-range modules plus a G-arbiter. */
-class DistributedArbiter : public SimObject, public ArbiterIface
+/**
+ * Distributed arbiter: per-range modules plus a G-arbiter. Only range
+ * routing, the module W lists and the G-arbiter's vote fan-out live
+ * here; the decision cache, lossy request/reply edges,
+ * pre-arbitration and W-residency accounting are ArbiterCore's. The R
+ * signature travels with the request and the RSig round trip is
+ * charged analytically (2x its network latency).
+ */
+class DistributedArbiter : public ArbiterCore
 {
   public:
     /**
@@ -33,25 +39,11 @@ class DistributedArbiter : public SimObject, public ArbiterIface
     DistributedArbiter(EventQueue &eq, Network &net, NodeId first_node,
                        unsigned count, Tick processing, bool rsig_opt);
 
-    /**
-     * Attach the fault plane. Request loss and reply loss/duplication
-     * are injected at the processor-facing edges; the internal module
-     * fan-out and votes stay reliable (they model on-chip wiring of
-     * one logical arbiter). arb.skip_collision is not supported here
-     * (MachineConfig::validate rejects it with numArbiters > 1).
-     */
-    void setFaultPlane(FaultPlane *fp) { faults = fp; }
-
     void requestCommit(ProcId p, std::uint64_t txn,
                        std::shared_ptr<Signature> w,
-                       RProvider r_provider,
-                       std::function<void(bool)> reply) override;
+                       RProvider r_provider, Reply reply) override;
 
     void commitDone(const std::shared_ptr<Signature> &w) override;
-
-    void preArbitrate(ProcId p, std::function<void()> granted) override;
-
-    const ArbiterStats &stats() const override { return stats_; }
 
     std::uint64_t fingerprint() const override;
 
@@ -77,52 +69,13 @@ class DistributedArbiter : public SimObject, public ArbiterIface
     void removeFrom(std::vector<std::shared_ptr<Signature>> &list,
                     const std::shared_ptr<Signature> &w);
 
-    void finishDecision(ProcId p, bool ok,
-                        std::function<void(bool)> reply, NodeId from,
-                        std::shared_ptr<Signature> w = nullptr);
-
-    /** Send a (possibly lost/duplicated) decision reply. @p w is the
-     *  decided chunk's W signature, attached as the message footprint
-     *  so the schedule explorer can commute independent replies. */
-    void sendReply(ProcId p, bool ok,
-                   const std::function<void(bool)> &reply, NodeId from,
-                   std::shared_ptr<Signature> w = nullptr);
-
-    void touchStats();
-    void tryActivatePreArb();
-
-    Network &net;
     NodeId firstNode;
     Tick processing;
     bool rsigOpt;
-    FaultPlane *faults = nullptr;
-
-    /** Decision cache: the latest transaction seen per processor. */
-    struct TxnRecord
-    {
-        std::uint64_t txn = ~std::uint64_t{0};
-        bool decided = false;
-        bool ok = false;
-    };
-    std::unordered_map<ProcId, TxnRecord> txns;
 
     std::vector<Module> modules;
     std::vector<std::shared_ptr<Signature>> gList;
 
-    /** Tick each accepted W entered the arbiter (occupancy). Entries
-     *  are created only at the final accept points — the single-range
-     *  list push and the G-arbiter list push — never for the tentative
-     *  module reservations of a multi-range transaction, which can
-     *  still roll back. */
-    std::unordered_map<const Signature *, Tick> wInsertTick;
-
-    unsigned activeTxns = 0;
-
-    ProcId preArbOwner = ~ProcId{0};
-    std::deque<std::pair<ProcId, std::function<void()>>> preArbQueue;
-
-    ArbiterStats stats_;
-    Tick lastTouch = 0;
     std::uint64_t nSingle = 0;
     std::uint64_t nMulti = 0;
 };

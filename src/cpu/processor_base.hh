@@ -133,24 +133,27 @@ class ProcessorBase : public SimObject, public CacheListener
      */
     void execSync(const Op &op, std::function<void()> done);
 
-    /** Model-specific timed load of a tracked value. */
+    /** Timed load of a tracked value. The default (all baselines)
+     *  performs it non-speculatively at the access's completion. */
     virtual void syncLoad(Addr addr,
-                          std::function<void(std::uint64_t)> done) = 0;
+                          std::function<void(std::uint64_t)> done);
 
-    /** Model-specific timed store of a tracked value. */
+    /** Timed store of a tracked value; the default performs it once
+     *  exclusive ownership arrives. */
     virtual void syncStore(Addr addr, std::uint64_t value,
-                           std::function<void()> done) = 0;
+                           std::function<void()> done);
 
     /**
-     * Model-specific atomic read-modify-write: applies @p modify to the
-     * current value and reports the old value. Baselines make this
-     * atomic at the completion event; BulkSC makes it a speculative
-     * load + store pair whose atomicity comes from the chunk.
+     * Atomic read-modify-write: applies @p modify to the current value
+     * and reports the old value. The baselines' default makes this
+     * atomic at the completion event; BulkSC overrides it with a
+     * speculative load + store pair whose atomicity comes from the
+     * chunk.
      */
     virtual void
     syncRmw(Addr addr,
             std::function<std::uint64_t(std::uint64_t)> modify,
-            std::function<void(std::uint64_t)> done) = 0;
+            std::function<void(std::uint64_t)> done);
 
     /** Perform an uncached I/O operation (overridden by BulkSC to
      *  drain chunks first, Section 4.1.3). */

@@ -29,13 +29,6 @@ class ScProcessor : public ProcessorBase
   protected:
     void advance() override;
 
-    void syncLoad(Addr addr,
-                  std::function<void(std::uint64_t)> done) override;
-    void syncStore(Addr addr, std::uint64_t value,
-                   std::function<void()> done) override;
-    void syncRmw(Addr addr,
-                 std::function<std::uint64_t(std::uint64_t)> modify,
-                 std::function<void(std::uint64_t)> done) override;
 
   private:
     void issuePrefetches();

@@ -155,51 +155,4 @@ TsoProcessor::advance()
     }
 }
 
-void
-TsoProcessor::syncLoad(Addr addr, std::function<void(std::uint64_t)> done)
-{
-    auto lat = mem.access(pid, addr, MemCmd::Read, [this, addr, done] {
-        done(mem.readValue(addr));
-    });
-    if (lat) {
-        eventq.scheduleAfter(*lat, [this, addr, done] {
-            done(mem.readValue(addr));
-        });
-    }
-}
-
-void
-TsoProcessor::syncStore(Addr addr, std::uint64_t value,
-                        std::function<void()> done)
-{
-    auto lat =
-        mem.access(pid, addr, MemCmd::ReadEx, [this, addr, value, done] {
-            mem.writeValue(addr, value);
-            done();
-        });
-    if (lat) {
-        eventq.scheduleAfter(*lat, [this, addr, value, done] {
-            mem.writeValue(addr, value);
-            done();
-        });
-    }
-}
-
-void
-TsoProcessor::syncRmw(Addr addr,
-                      std::function<std::uint64_t(std::uint64_t)> modify,
-                      std::function<void(std::uint64_t)> done)
-{
-    auto fin = [this, addr, modify, done] {
-        std::uint64_t old = mem.readValue(addr);
-        std::uint64_t next = modify(old);
-        if (next != old)
-            mem.writeValue(addr, next);
-        done(old);
-    };
-    auto lat = mem.access(pid, addr, MemCmd::ReadEx, fin);
-    if (lat)
-        eventq.scheduleAfter(*lat, fin);
-}
-
 } // namespace bulksc

@@ -562,43 +562,26 @@ MemorySystem::sendCommitW(ProcId committer, unsigned d,
         dirHandleCommit(d, committer, txn);
     };
 
-    bool lost = faults &&
-                faults->dropMessage(
-                    FaultKind::DirCommitLoss, curTick(),
-                    static_cast<int>(TrafficClass::WrSig));
-    if (lost) {
+    if (net.sendLossy(committer, prm.numProcs + d, TrafficClass::WrSig,
+                      txn->w->compressedBits(), FaultKind::DirCommitLoss,
+                      true, deliver, wsigFp(txn->w))) {
         EVENT_TRACE(TraceEventType::FaultInject, curTick(), trackDir(d),
                     id,
                     static_cast<std::uint64_t>(
                         FaultKind::DirCommitLoss));
-        net.send(committer, prm.numProcs + d, TrafficClass::WrSig,
-                 txn->w->compressedBits(), [] {}, wsigFp(txn->w));
-    } else {
-        net.send(committer, prm.numProcs + d, TrafficClass::WrSig,
-                 txn->w->compressedBits(), deliver, wsigFp(txn->w));
-    }
-    if (faults &&
-        faults->duplicateMessage(
-            curTick(), static_cast<int>(TrafficClass::WrSig))) {
-        net.send(committer, prm.numProcs + d, TrafficClass::WrSig,
-                 txn->w->compressedBits(), deliver, wsigFp(txn->w));
     }
 
-    if (!prm.harden)
+    if (!resend)
         return;
 
-    unsigned shift = attempt < 16 ? attempt - 1 : 15;
-    Tick delay = prm.resendTimeout << shift;
-    if (delay > prm.resendTimeoutCap)
-        delay = prm.resendTimeoutCap;
-    // Deterministic jitter, as in the processors' resend chain.
-    delay = jitteredBackoff(delay, (std::uint64_t{0xd1} << 56) ^
-                                       (id << 8) ^ attempt);
+    Tick delay = resendBackoff(resend->timeout, resend->timeoutCap,
+                               attempt,
+                               (std::uint64_t{0xd1} << 56) ^ (id << 8));
     eventq.scheduleAfter(delay, [this, committer, d, txn, start, id,
                                  delivered, attempt] {
         if (*delivered)
             return;
-        if (attempt > prm.maxResend) {
+        if (attempt > resend->maxResend) {
             // Give up: this directory never saw the W, the commit can
             // never complete, and the committer wedges — which is
             // exactly what the watchdog exists to report.

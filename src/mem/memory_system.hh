@@ -99,19 +99,6 @@ struct MemParams
      *  bounce up to this cap instead of spinning at bounceRetry. */
     Tick bounceRetryCap = 0;
 
-    /** Arm the commit-service timeout/resend machinery (set by the
-     *  System when the fault plane can lose or duplicate messages). */
-    bool harden = false;
-
-    /** Resend attempts before abandoning a commit-service message. */
-    unsigned maxResend = 8;
-
-    /** Base commit-service resend timeout; doubles per attempt. */
-    Tick resendTimeout = 256;
-
-    /** Ceiling for the commit-service resend backoff. */
-    Tick resendTimeoutCap = 8192;
-
     unsigned numDirectories = 1;
     std::size_t dirCacheEntries = 0; //!< 0 = full-mapped directory
     SignatureConfig sigCfg;
@@ -135,14 +122,18 @@ class MemorySystem : public SimObject
     void setListener(ProcId p, CacheListener *l);
 
     /**
-     * Attach the fault plane. The directory commit service is the
-     * faulted surface (dir.commit_loss, dir.nack, net.drop/dup of the
-     * W delivery); invalidation fan-out and acknowledgements stay
-     * reliable — they model short on-chip control wires, and faulting
-     * them would need ack-level sequencing the paper's protocol does
-     * not describe.
+     * Attach the fault plane for dir.nack, decided when a commit W
+     * reaches its directory. The W delivery itself is sent through
+     * Network::sendLossy (dir.commit_loss, net.drop, net.dup).
+     * Invalidation fan-out and acknowledgements stay reliable — they
+     * model short on-chip control wires, and faulting them would need
+     * ack-level sequencing the paper's protocol does not describe.
      */
     void setFaultPlane(FaultPlane *fp) { faults = fp; }
+
+    /** Arm the commit-service timeout/resend machinery (the System
+     *  does when the fault plane can lose or duplicate messages). */
+    void harden(const ResendConfig &rc) { resend = rc; }
 
     /**
      * Issue an access.
@@ -337,6 +328,7 @@ class MemorySystem : public SimObject
     MemParams prm;
     Network &net;
     FaultPlane *faults = nullptr;
+    std::optional<ResendConfig> resend; //!< set iff hardened
 
     /** Commit-service message ids (dedup/trace labelling). */
     std::uint64_t nextCommitId = 0;

@@ -98,10 +98,39 @@ class Network : public SimObject
               const MsgFootprint &fp = MsgFootprint{});
 
     /**
-     * Attach the fault plane. Only net.delay is applied here (uniform
-     * extra latency per message, scoped by traffic class and tick
-     * window); loss and duplication are decided at the protocol
-     * layers, which own the retransmission machinery.
+     * Send a protocol message over a link that can lose or duplicate
+     * it. Rolls @p loss (generic net.drop points apply too): a lost
+     * message still occupies the wire but delivers nothing. Then rolls
+     * net.dup, which sends a second copy of @p deliver. A lost
+     * message is only duplicated when @p dup_lost is set.
+     *
+     * @return true iff the primary copy was lost.
+     */
+    template <typename F>
+    bool
+    sendLossy(NodeId src, NodeId dst, TrafficClass cls, unsigned bits,
+              FaultKind loss, bool dup_lost, const F &deliver,
+              const MsgFootprint &fp = MsgFootprint{})
+    {
+        int c = static_cast<int>(cls);
+        bool lost = faults && faults->dropMessage(loss, curTick(), c);
+        if (lost)
+            send(src, dst, cls, bits, [] {}, fp);
+        else
+            send(src, dst, cls, bits, deliver, fp);
+        if ((!lost || dup_lost) && faults &&
+            faults->duplicateMessage(curTick(), c)) {
+            send(src, dst, cls, bits, deliver, fp);
+        }
+        return lost;
+    }
+
+    /**
+     * Attach the fault plane. net.delay is applied to every message
+     * (uniform extra latency, scoped by traffic class and tick
+     * window); loss and duplication only to those the protocol layers
+     * send through sendLossy(), since they own the retransmission
+     * machinery.
      */
     void setFaultPlane(FaultPlane *fp) { faults = fp; }
 

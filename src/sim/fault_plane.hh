@@ -70,6 +70,24 @@ constexpr unsigned kFaultNumTrafficClasses = 5;
 /** Scope value meaning "applies to every traffic class". */
 constexpr int kFaultAnyClass = -1;
 
+/**
+ * Timeout/resend policy of the hardened protocol, shared by the
+ * processors' commit requests and the directory commit service. It is
+ * armed only when FaultPlane::requiresHardening() holds.
+ */
+struct ResendConfig
+{
+    /** Resend attempts before giving up on a message. The sender
+     *  stalls and the watchdog reports the deadlock. */
+    unsigned maxResend = 8;
+
+    /** Base timeout; doubles per attempt (see resendBackoff). */
+    Tick timeout = 256;
+
+    /** Ceiling for the exponential backoff. */
+    Tick timeoutCap = 8192;
+};
+
 /** One configured fault point. */
 struct FaultPoint
 {

@@ -62,6 +62,22 @@ jitteredBackoff(std::uint64_t base, std::uint64_t key)
 }
 
 /**
+ * The hardened protocol's resend timeout: @p timeout for attempt 1,
+ * doubling per further (1-based) @p attempt up to @p cap, jittered by
+ * jitteredBackoff() under @p key with the attempt number folded in.
+ */
+constexpr std::uint64_t
+resendBackoff(std::uint64_t timeout, std::uint64_t cap,
+              unsigned attempt, std::uint64_t key)
+{
+    unsigned shift = attempt < 16 ? attempt - 1 : 15;
+    std::uint64_t base = timeout << shift;
+    if (base > cap)
+        base = cap;
+    return jitteredBackoff(base, key ^ attempt);
+}
+
+/**
  * A small, fast, deterministic PRNG (splitmix64 stream).
  */
 class Rng

@@ -112,11 +112,6 @@ MachineConfig::validate(std::string &err) const
         return fail("dirs must be at least 1");
     if (numArbiters == 0)
         return fail("arbiters must be at least 1");
-    if (faultSkipArbEvery != 0 && numArbiters > 1) {
-        return fail("inject-skip-arb requires the central arbiter "
-                    "(arbiters 1), got arbiters " +
-                    std::to_string(numArbiters));
-    }
     if (!faults.empty()) {
         std::vector<FaultPoint> pts;
         std::string ferr;

@@ -131,21 +131,12 @@ struct MachineConfig
     /** Seed for the fault plane's deterministic decisions. */
     std::uint64_t faultSeed = 1;
 
-    /** Force the hardened (sequence numbers + timeout/resend)
-     *  protocol even when the fault plane cannot lose messages. */
-    bool harden = false;
+    /** Timeout/resend policy of the hardened protocol, armed when
+     *  the fault plane can lose or duplicate messages. */
+    ResendConfig resend;
 
     /** Forward-progress watchdog (off by default; tools enable it). */
     WatchdogConfig watchdog;
-
-    /**
-     * Deprecated alias for "arb.skip_collision=N" in @ref faults:
-     * grant every Nth commit request that should have been denied for
-     * a signature collision (0 = off). Folded into the fault plane by
-     * System. Only supported with the central arbiter
-     * (numArbiters <= 1).
-     */
-    unsigned faultSkipArbEvery = 0;
 
     /**
      * Check the configuration for inconsistent geometry. On failure

@@ -346,23 +346,15 @@ OptionRegistry::OptionRegistry()
               },
               [](const SimOptions &o) { return o.cfg.faultSeed; });
 
-    b.flag("harden",
-           "force the hardened protocol (sequence numbers, timeout/"
-           "resend) even when the fault plane cannot lose messages",
-           kAll, true,
-           [](SimOptions &o, bool v) { o.cfg.harden = v; },
-           [](const SimOptions &o) { return o.cfg.harden; });
-
     b.uintSet("max-resend", "N",
               "hardened protocol: give up a request after N "
               "retransmissions",
               kAll, true,
               [](SimOptions &o, std::uint64_t v) {
-                  o.cfg.bulk.maxResend = static_cast<unsigned>(v);
-                  o.cfg.mem.maxResend = static_cast<unsigned>(v);
+                  o.cfg.resend.maxResend = static_cast<unsigned>(v);
               },
               [](const SimOptions &o) {
-                  return std::uint64_t{o.cfg.bulk.maxResend};
+                  return std::uint64_t{o.cfg.resend.maxResend};
               });
 
     b.uintSet("resend-timeout", "N",
@@ -370,11 +362,10 @@ OptionRegistry::OptionRegistry()
               "ticks (doubles per attempt)",
               kAll, true,
               [](SimOptions &o, std::uint64_t v) {
-                  o.cfg.bulk.resendTimeout = v;
-                  o.cfg.mem.resendTimeout = v;
+                  o.cfg.resend.timeout = v;
               },
               [](const SimOptions &o) {
-                  return std::uint64_t{o.cfg.bulk.resendTimeout};
+                  return std::uint64_t{o.cfg.resend.timeout};
               });
 
     b.flag("watchdog",
@@ -445,17 +436,6 @@ OptionRegistry::OptionRegistry()
              [](const SimOptions &o) {
                  return o.cfg.watchdog.dumpPath;
              });
-
-    b.uintSet("inject-skip-arb", "N",
-              "deprecated alias for --faults arb.skip_collision=N: "
-              "grant every Nth colliding commit request (0 = off)",
-              kSim, true,
-              [](SimOptions &o, std::uint64_t v) {
-                  o.cfg.faultSkipArbEvery = static_cast<unsigned>(v);
-              },
-              [](const SimOptions &o) {
-                  return std::uint64_t{o.cfg.faultSkipArbEvery};
-              });
 
     b.strSet(
         "check", "LIST",

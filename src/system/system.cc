@@ -18,28 +18,15 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
         cfg.numProcs = static_cast<unsigned>(traces.size());
     cfg.resolve();
 
-    // Fault plane: parse the spec, fold in the deprecated
-    // inject-skip-arb alias, and derive whether the hardened
-    // (sequence numbers + timeout/resend) protocol is needed.
-    {
-        std::vector<FaultPoint> pts;
-        if (!cfg.faults.empty()) {
-            std::string err;
-            fatal_if(!FaultPlane::parseSpec(cfg.faults, pts, err),
-                     "faults: ", err);
-        }
-        if (cfg.faultSkipArbEvery) {
-            FaultPoint pt;
-            pt.kind = FaultKind::ArbSkipCollision;
-            pt.everyN = cfg.faultSkipArbEvery;
-            pts.push_back(pt);
-        }
-        faults.configure(std::move(pts), cfg.faultSeed);
-    }
-    if (faults.requiresHardening())
-        cfg.harden = true;
-    cfg.bulk.harden = cfg.harden;
-    cfg.mem.harden = cfg.harden;
+    // Fault plane. Mixes that can lose or duplicate messages arm the
+    // hardened (timeout/resend) protocol.
+    std::vector<FaultPoint> pts;
+    std::string err;
+    fatal_if(!cfg.faults.empty() &&
+                 !FaultPlane::parseSpec(cfg.faults, pts, err),
+             "faults: ", err);
+    faults.configure(std::move(pts), cfg.faultSeed);
+    const bool harden = faults.requiresHardening();
 
     const unsigned np = cfg.numProcs;
     const unsigned nd = cfg.mem.numDirectories;
@@ -50,6 +37,8 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
         net->setFaultPlane(&faults);
         memSys->setFaultPlane(&faults);
     }
+    if (harden)
+        memSys->harden(cfg.resend);
 
     if (isBulk(cfg.model)) {
         if (cfg.numArbiters <= 1) {
@@ -63,12 +52,9 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
             fatal_if(faults.has(FaultKind::ArbSkipCollision),
                      "arb.skip_collision injection needs the central "
                      "arbiter (numArbiters <= 1)");
-            auto a = std::make_unique<DistributedArbiter>(
+            arb = std::make_unique<DistributedArbiter>(
                 eq, *net, np + nd, cfg.numArbiters, cfg.arbProcessing,
                 cfg.bulk.rsigOpt);
-            if (faults.active())
-                a->setFaultPlane(&faults);
-            arb = std::move(a);
         }
     }
 
@@ -92,11 +78,15 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
                 eq, name, p, *memSys, traces[p], cfg.cpu,
                 cfg.shiqEntries));
             break;
-          default:
-            procs.push_back(std::make_unique<BulkProcessor>(
+          default: {
+            auto bp = std::make_unique<BulkProcessor>(
                 eq, name, p, *memSys, traces[p], cfg.cpu, cfg.bulk,
-                *arb));
+                *arb);
+            if (harden)
+                bp->harden(cfg.resend);
+            procs.push_back(std::move(bp));
             break;
+          }
         }
     }
 
@@ -281,7 +271,7 @@ System::collectStats(Results &res) const
                                 : 0.0);
 
     if (faults.active()) {
-        sg.set("faults.harden", cfg.harden ? 1 : 0);
+        sg.set("faults.harden", faults.requiresHardening() ? 1 : 0);
         faults.dumpStats(sg, "faults.");
     }
     if (dog) {
@@ -369,7 +359,7 @@ System::collectStats(Results &res) const
     agg.arbLatency.dumpInto(sg, "bulk.arb_latency.");
     agg.squashRestart.dumpInto(sg, "bulk.squash_restart.");
     agg.squashChunkSize.dumpInto(sg, "bulk.squash_chunk_size.");
-    if (cfg.harden) {
+    if (faults.requiresHardening()) {
         sg.set("bulk.resends", static_cast<double>(agg.resends));
         sg.set("bulk.resend_give_ups",
                static_cast<double>(agg.resendGiveUps));

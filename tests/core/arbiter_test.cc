@@ -2,11 +2,16 @@
  * @file
  * Unit tests for the commit arbiter: grant/deny rules, W-list
  * lifetime, the RSig optimization, pre-arbitration, and statistics.
+ * The decision-cache and accounting tests run against both the
+ * central and the distributed arbiter, which share that machinery.
  */
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/arbiter.hh"
+#include "core/distributed_arbiter.hh"
 
 namespace bulksc {
 namespace {
@@ -174,20 +179,6 @@ TEST(Arbiter, PreArbitrationBlocksOthers)
     EXPECT_EQ(h.arb.stats().preArbitrations, 1u);
 }
 
-TEST(Arbiter, PreArbitrationWaitsForDrain)
-{
-    Harness h;
-    auto w = h.sig({100});
-    ASSERT_TRUE(h.request(0, h.sig({}), w));
-    bool owner_granted = false;
-    h.arb.preArbitrate(1, [&] { owner_granted = true; });
-    h.eq.run();
-    EXPECT_FALSE(owner_granted); // a commit is still in flight
-    h.arb.commitDone(w);
-    h.eq.run();
-    EXPECT_TRUE(owner_granted);
-}
-
 TEST(Arbiter, RacingRequestsCheckedAtomically)
 {
     // Regression test: two requests in flight simultaneously, where
@@ -226,73 +217,164 @@ TEST(Arbiter, RacingDisjointRequestsBothGranted)
     EXPECT_TRUE(b);
 }
 
-TEST(Arbiter, DuplicateRequestAnsweredFromDecisionCache)
+/** Which ArbiterCore implementation a shared-core test drives. */
+enum class ArbKind
+{
+    Central,
+    Distributed,
+};
+
+void
+PrintTo(ArbKind k, std::ostream *os)
+{
+    *os << (k == ArbKind::Central ? "Central" : "Distributed");
+}
+
+class SharedCore : public ::testing::TestWithParam<ArbKind>
+{
+  protected:
+    SharedCore() : net(eq, NetworkConfig{})
+    {
+        if (GetParam() == ArbKind::Central) {
+            arb = std::make_unique<Arbiter>(eq, net, 9, /*processing=*/5,
+                                            /*rsig=*/true);
+        } else {
+            arb = std::make_unique<DistributedArbiter>(
+                eq, net, 16, /*modules=*/4, /*processing=*/5,
+                /*rsig=*/true);
+        }
+    }
+
+    std::shared_ptr<Signature>
+    sig(std::initializer_list<LineAddr> lines)
+    {
+        auto s = std::make_shared<Signature>();
+        for (LineAddr l : lines)
+            s->insert(l);
+        return s;
+    }
+
+    /** Send @p p's request @p txn; the reply lands in @p granted. */
+    void
+    send(ProcId p, std::uint64_t txn, std::shared_ptr<Signature> w,
+         bool &granted, unsigned *replies = nullptr)
+    {
+        arb->requestCommit(
+            p, txn, std::move(w), [this] { return sig({}); },
+            [&granted, replies](bool ok) {
+                granted = ok;
+                if (replies)
+                    ++*replies;
+            });
+    }
+
+    EventQueue eq;
+    Network net;
+    std::unique_ptr<ArbiterCore> arb;
+};
+
+TEST_P(SharedCore, DuplicateRequestAnsweredFromDecisionCache)
 {
     // A retransmitted request (same proc, same txn) must be answered
     // from the cached decision, never re-decided: a granted W is
     // already in the list and would collide with itself.
-    Harness h;
-    auto w = h.sig({100});
+    auto w = sig({100});
     bool granted = false;
-    h.arb.requestCommit(
-        0, 1, w, [&] { return h.sig({}); },
-        [&](bool ok) { granted = ok; });
-    h.eq.run();
+    send(0, 1, w, granted);
+    eq.run();
     ASSERT_TRUE(granted);
-    ASSERT_EQ(h.arb.pendingW(), 1u);
+    ASSERT_EQ(arb->pendingW(), 1u);
 
     bool re_granted = false;
-    h.arb.requestCommit(
-        0, 1, w, [&] { return h.sig({}); },
-        [&](bool ok) { re_granted = ok; });
-    h.eq.run();
+    send(0, 1, w, re_granted);
+    eq.run();
     EXPECT_TRUE(re_granted); // cached grant, not a self-collision
-    EXPECT_EQ(h.arb.stats().dupRequests, 1u);
-    EXPECT_EQ(h.arb.pendingW(), 1u); // W not inserted twice
-    EXPECT_EQ(h.arb.stats().grants, 1u);
+    EXPECT_EQ(arb->stats().dupRequests, 1u);
+    EXPECT_EQ(arb->pendingW(), 1u); // W not inserted twice
+    EXPECT_EQ(arb->stats().grants, 1u);
 }
 
-TEST(Arbiter, DuplicateOfDenialResendsDenial)
+TEST_P(SharedCore, DuplicateOfDenialResendsDenial)
 {
-    Harness h;
-    ASSERT_TRUE(h.request(0, h.sig({}), h.sig({100})));
-    auto deny_w = h.sig({100});
+    bool first = false;
+    send(0, 1, sig({100}), first);
+    eq.run();
+    ASSERT_TRUE(first);
+    auto deny_w = sig({100});
     bool granted = true;
-    h.arb.requestCommit(
-        1, 5, deny_w, [&] { return h.sig({}); },
-        [&](bool ok) { granted = ok; });
-    h.eq.run();
+    send(1, 5, deny_w, granted);
+    eq.run();
     ASSERT_FALSE(granted);
     // Retransmission of the denied txn: cached denial comes back.
     bool re_granted = true;
-    bool replied = false;
-    h.arb.requestCommit(
-        1, 5, deny_w, [&] { return h.sig({}); },
-        [&](bool ok) {
-            re_granted = ok;
-            replied = true;
-        });
-    h.eq.run();
-    EXPECT_TRUE(replied);
+    unsigned replies = 0;
+    send(1, 5, deny_w, re_granted, &replies);
+    eq.run();
+    EXPECT_EQ(replies, 1u);
     EXPECT_FALSE(re_granted);
-    EXPECT_EQ(h.arb.stats().denials, 1u); // decided exactly once
+    EXPECT_EQ(arb->stats().denials, 1u); // decided exactly once
 }
 
-TEST(Arbiter, TimeWeightedStats)
+TEST_P(SharedCore, DuplicateInFlightIsDecidedOnce)
 {
-    Harness h;
-    auto w = h.sig({100});
-    ASSERT_TRUE(h.request(0, h.sig({}), w));
+    // Both copies of a duplicated request are on the wire together
+    // (net.dup): the second is swallowed at delivery while the first
+    // is being decided, so exactly one decision and one reply result.
+    auto w = sig({100});
+    bool granted = false;
+    unsigned replies = 0;
+    send(0, 1, w, granted, &replies);
+    send(0, 1, w, granted, &replies);
+    eq.run();
+    EXPECT_TRUE(granted);
+    EXPECT_EQ(replies, 1u);
+    EXPECT_EQ(arb->stats().requests, 1u);
+    EXPECT_EQ(arb->stats().grants, 1u);
+    EXPECT_EQ(arb->stats().dupRequests, 1u);
+    EXPECT_EQ(arb->pendingW(), 1u);
+}
+
+TEST_P(SharedCore, TimeWeightedStats)
+{
+    auto w = sig({100});
+    bool granted = false;
+    send(0, 1, w, granted);
+    eq.run();
+    ASSERT_TRUE(granted);
     // Advance time with the W pending.
-    h.eq.schedule(h.eq.now() + 1000, [] {});
-    h.eq.run();
-    h.arb.commitDone(w);
-    const ArbiterStats &s = h.arb.stats();
-    Tick total = h.eq.now();
+    eq.schedule(eq.now() + 1000, [] {});
+    eq.run();
+    arb->commitDone(w);
+    EXPECT_EQ(arb->pendingW(), 0u);
+    const ArbiterStats &s = arb->stats();
+    Tick total = eq.now();
     EXPECT_GT(s.avgPendingW(total), 0.0);
     EXPECT_GT(s.nonEmptyFrac(total), 0.0);
     EXPECT_LE(s.nonEmptyFrac(total), 1.0);
+    EXPECT_EQ(s.occupancy.samples(), 1u);
+    EXPECT_GE(s.occupancy.max(), 1000.0);
 }
+
+TEST_P(SharedCore, PreArbitrationWaitsForDrain)
+{
+    auto w = sig({100});
+    bool granted = false;
+    send(0, 1, w, granted);
+    eq.run();
+    ASSERT_TRUE(granted);
+    bool owner_granted = false;
+    arb->preArbitrate(1, [&] { owner_granted = true; });
+    eq.run();
+    EXPECT_FALSE(owner_granted); // a commit is still in flight
+    arb->commitDone(w);
+    eq.run();
+    EXPECT_TRUE(owner_granted);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Arbiters, SharedCore,
+    ::testing::Values(ArbKind::Central, ArbKind::Distributed),
+    ::testing::PrintToStringParamName());
 
 } // namespace
 } // namespace bulksc

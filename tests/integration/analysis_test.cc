@@ -102,7 +102,7 @@ TEST(FaultInjection, SkippedDisambiguationIsCaughtAsACycle)
     cfg.model = Model::BSCdypvt;
     cfg.numProcs = 2;
     cfg.bulk.rsigOpt = false;
-    cfg.faultSkipArbEvery = 1;
+    cfg.faults = "arb.skip_collision=1";
     System sys(cfg, lt.traces);
     sys.enableAnalysis();
     Results r = sys.run(50'000'000);

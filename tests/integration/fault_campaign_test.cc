@@ -113,6 +113,29 @@ TEST(FaultCampaign, SameFaultSeedSameRun)
     EXPECT_TRUE(a.stats.entries() == b.stats.entries());
 }
 
+TEST(FaultCampaign, DistributedArbiterAbsorbsDuplicatedRequests)
+{
+    // net.dup covers the distributed arbiter's request edge as well:
+    // duplicated copies reach the modules and the G-arbiter, and the
+    // shared decision cache must absorb them at delivery instead of
+    // deciding a transaction twice.
+    MachineConfig cfg;
+    cfg.model = Model::BSCdypvt;
+    cfg.numProcs = 4;
+    cfg.numArbiters = 4;
+    cfg.mem.numDirectories = 4;
+    cfg.faults = "net.dup=0.05,arb.req_loss=0.02";
+    cfg.watchdog.enabled = true;
+    System sys(cfg, generateTraces(profileByName("ocean"), cfg.numProcs,
+                                   20'000, /*salt=*/7));
+    sys.enableAnalysis(true, true);
+    Results r = sys.run(500'000'000);
+    ASSERT_TRUE(r.completed) << r.watchdogReport;
+    EXPECT_EQ(r.watchdogVerdict, WatchdogVerdict::None);
+    EXPECT_EQ(r.stats.get("analysis.sc_cycles"), 0.0);
+    EXPECT_GT(r.stats.get("arb.dup_requests"), 0.0);
+}
+
 /** Read a whole temporary file back as a string. */
 std::string
 slurp(std::FILE *f)

@@ -1,10 +1,14 @@
 /**
  * @file
  * Unit tests for the interconnect model: latency, delivery, and the
- * per-class traffic accounting behind Figure 11.
+ * per-class traffic accounting behind Figure 11, and the lossy send
+ * the protocol layers use for fault-injected messages.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "network/network.hh"
 
@@ -124,6 +128,80 @@ TEST(TrafficClassNames, AreStable)
     EXPECT_STREQ(trafficClassName(TrafficClass::WrSig), "WrSig");
     EXPECT_STREQ(trafficClassName(TrafficClass::Inval), "Inv");
     EXPECT_STREQ(trafficClassName(TrafficClass::Other), "Other");
+}
+
+/** A network whose fault plane is armed with @p spec. */
+struct LossyNet
+{
+    explicit LossyNet(const std::string &spec) : net(eq, NetworkConfig{})
+    {
+        std::vector<FaultPoint> pts;
+        std::string err;
+        EXPECT_TRUE(FaultPlane::parseSpec(spec, pts, err)) << err;
+        faults.configure(std::move(pts), 1);
+        net.setFaultPlane(&faults);
+    }
+
+    /** Send once over the lossy edge; @return copies delivered. */
+    unsigned
+    send(bool dup_lost, bool &lost)
+    {
+        unsigned delivered = 0;
+        lost = net.sendLossy(0, 1, TrafficClass::WrSig, 64,
+                             FaultKind::ArbReqLoss, dup_lost,
+                             [&delivered] { ++delivered; });
+        eq.run();
+        return delivered;
+    }
+
+    EventQueue eq;
+    FaultPlane faults;
+    Network net;
+};
+
+TEST(NetworkLossySend, LostMessageStillUsesTheWire)
+{
+    LossyNet h("arb.req_loss=1");
+    bool lost = false;
+    EXPECT_EQ(h.send(false, lost), 0u);
+    EXPECT_TRUE(lost);
+    EXPECT_EQ(h.net.messages(), 1u);
+    EXPECT_GT(h.net.bitsSent(TrafficClass::WrSig), 0u);
+}
+
+TEST(NetworkLossySend, DuplicationDeliversTwice)
+{
+    LossyNet h("net.dup=1");
+    bool lost = true;
+    EXPECT_EQ(h.send(false, lost), 2u);
+    EXPECT_FALSE(lost);
+    EXPECT_EQ(h.net.messages(), 2u);
+}
+
+TEST(NetworkLossySend, LostCopyDuplicatedOnlyWhenAsked)
+{
+    LossyNet quiet("arb.req_loss=1,net.dup=1");
+    bool lost = false;
+    EXPECT_EQ(quiet.send(false, lost), 0u);
+    EXPECT_EQ(quiet.net.messages(), 1u);
+    EXPECT_EQ(quiet.faults.injectedCount(FaultKind::NetDup), 0u);
+
+    LossyNet echo("arb.req_loss=1,net.dup=1");
+    EXPECT_EQ(echo.send(true, lost), 1u); // the duplicate survives
+    EXPECT_TRUE(lost);
+    EXPECT_EQ(echo.net.messages(), 2u);
+}
+
+TEST(NetworkLossySend, WithoutFaultPlaneIsAPlainSend)
+{
+    EventQueue eq;
+    Network net(eq, NetworkConfig{});
+    unsigned delivered = 0;
+    EXPECT_FALSE(net.sendLossy(0, 1, TrafficClass::Other, 8,
+                               FaultKind::ArbGrantLoss, true,
+                               [&delivered] { ++delivered; }));
+    eq.run();
+    EXPECT_EQ(delivered, 1u);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/rng.hh"
 
 namespace bulksc {
@@ -91,6 +93,32 @@ TEST(Mix64, IsStableAndMixing)
         d >>= 1;
     }
     EXPECT_GT(bits, 16);
+}
+
+TEST(ResendBackoff, DoublesPerAttemptUpToTheCap)
+{
+    // Attempt n waits timeout * 2^(n-1) +/-25%, never beyond cap +25%.
+    for (unsigned a = 1; a <= 20; ++a) {
+        std::uint64_t base = std::min<std::uint64_t>(
+            std::uint64_t{256} << (a < 16 ? a - 1 : 15), 8192);
+        std::uint64_t d = resendBackoff(256, 8192, a, 77);
+        EXPECT_GE(d, base - base / 4) << a;
+        EXPECT_LT(d, base + base / 4) << a;
+    }
+}
+
+TEST(ResendBackoff, JitterIsKeyedAndDeterministic)
+{
+    EXPECT_EQ(resendBackoff(256, 8192, 3, 5),
+              resendBackoff(256, 8192, 3, 5));
+    // The attempt number is part of the jitter key.
+    EXPECT_EQ(resendBackoff(1024, 1024, 3, 5),
+              jitteredBackoff(1024, 5 ^ 3));
+    bool differ = false;
+    for (std::uint64_t k = 0; k < 16 && !differ; ++k)
+        differ = resendBackoff(256, 8192, 2, k) !=
+                 resendBackoff(256, 8192, 2, k + 1);
+    EXPECT_TRUE(differ);
 }
 
 } // namespace

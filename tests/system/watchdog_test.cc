@@ -118,10 +118,8 @@ TEST(Watchdog, DeadlockDetectedWhenProtocolWedges)
     cfg.model = Model::BSCdypvt;
     cfg.numProcs = 2;
     cfg.faults = "arb.grant_loss=1.0";
-    cfg.bulk.maxResend = 2;
-    cfg.bulk.resendTimeout = 64;
-    cfg.mem.maxResend = 2;
-    cfg.mem.resendTimeout = 64;
+    cfg.resend.maxResend = 2;
+    cfg.resend.timeout = 64;
     cfg.watchdog.enabled = true;
     cfg.watchdog.interval = 2'000;
     System sys(cfg, healthyTraces());
