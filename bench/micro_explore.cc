@@ -15,6 +15,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -27,15 +28,18 @@ namespace {
 ExploreResult
 run(bool por, bool fp, std::uint64_t budget, Tick delay)
 {
+    SimOptions opts;
+    opts.litmus = "sb";
+    opts.explore.delayChoices = delay;
+    opts.explore.por = por;
+    opts.explore.fpPrune = fp;
+    opts.explore.maxSchedules = budget;
     ExploreConfig ec;
-    ec.litmusName = "sb";
-    ec.machine.watchdog.enabled = true;
-    if (delay)
-        ec.machine.faults =
-            "net.delay=0:" + std::to_string(delay);
-    ec.por = por;
-    ec.fpPrune = fp;
-    ec.maxSchedules = budget;
+    std::string err;
+    if (!configureExploration(opts, ec, err)) {
+        std::fprintf(stderr, "micro_explore: %s\n", err.c_str());
+        std::exit(1);
+    }
     return Explorer(std::move(ec)).explore();
 }
 

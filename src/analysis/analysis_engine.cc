@@ -5,6 +5,17 @@ namespace bulksc {
 void
 AnalysisEngine::dumpStats(StatGroup &sg) const
 {
+    if (replay_) {
+        sg.set("sc_verifier.verified", replay_->verified() ? 1 : 0);
+        sg.set("sc_verifier.chunks",
+               static_cast<double>(replay_->chunksChecked()));
+        sg.set("sc_verifier.reads",
+               static_cast<double>(replay_->readsChecked()));
+        sg.set("sc_verifier.errors",
+               static_cast<double>(replay_->errors().size()));
+    }
+    if (!logsAllAccesses())
+        return;
     sg.set("analysis.chunks", static_cast<double>(nChunks));
     if (graph_) {
         sg.set("analysis.sc_ok", graph_->ok() ? 1 : 0);

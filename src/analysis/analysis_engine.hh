@@ -1,13 +1,15 @@
 /**
  * @file
- * The analysis engine: one commit-order observer fanning committed
- * chunk logs out to the configured checkers (axiomatic SC via the
- * memory-order graph, happens-before races via vector clocks), plus
- * the writer-tag directory the processors' load instrumentation
- * queries.
+ * The analysis engine: the one commit-order observer a BulkProcessor
+ * reports to. It fans committed chunk logs out to the configured
+ * checkers — axiomatic SC via the memory-order graph, happens-before
+ * races via vector clocks, and the serial-replay reference oracle
+ * (ScVerifier) — and keeps the writer-tag directory the processors'
+ * load instrumentation queries.
  *
- * A BulkProcessor with an engine attached logs *every* access (not
- * just value-tracked ones) and binds each load's WriterRef at the
+ * With the axiomatic checker or the race detector selected, a
+ * BulkProcessor logs *every* access (a replay-only engine gets just
+ * the value-tracked ones) and binds each load's WriterRef at the
  * instant its value binds: from the youngest live chunk's store to
  * the address if one exists, else from committedWriter() — which the
  * engine keeps in lockstep with the committed value state, because
@@ -26,6 +28,7 @@
 
 #include "analysis/mem_order_graph.hh"
 #include "analysis/race_detector.hh"
+#include "analysis/sc_verifier.hh"
 #include "sim/stats.hh"
 
 namespace bulksc {
@@ -34,6 +37,7 @@ struct AnalysisConfig
 {
     bool axiomatic = true;
     bool race = false;
+    bool replay = false;
     unsigned numProcs = 0;
 
     /** Sync-variable address range for happens-before edges (the
@@ -57,7 +61,13 @@ class AnalysisEngine
                 cfg.numProcs, cfg.syncLo, cfg.syncHi,
                 cfg.raceReportCap});
         }
+        if (cfg.replay)
+            replay_ = std::make_unique<ScVerifier>();
     }
+
+    /** Log every access with its writer tag, not just the
+     *  value-tracked ones replay reads. */
+    bool logsAllAccesses() const { return cfg_.axiomatic || cfg_.race; }
 
     /** Load instrumentation: the committed writer of @p a (initial
      *  memory when the axiomatic checker is off or nothing committed
@@ -74,6 +84,8 @@ class AnalysisEngine
                    const std::vector<LoggedAccess> &log)
     {
         ++nChunks;
+        if (replay_)
+            replay_->chunkCommitted(p, log);
         if (graph_)
             graph_->chunkCommitted(now, p, seq, log);
         if (races_)
@@ -87,6 +99,9 @@ class AnalysisEngine
 
     /** Null unless the race check is enabled. */
     const RaceDetector *races() const { return races_.get(); }
+
+    /** Null unless the replay check is enabled. */
+    const ScVerifier *replay() const { return replay_.get(); }
 
     /** True iff no po ∪ rf ∪ co ∪ fr cycle was found (vacuously true
      *  with the axiomatic check off). */
@@ -110,6 +125,7 @@ class AnalysisEngine
     AnalysisConfig cfg_;
     std::unique_ptr<MemOrderGraph> graph_;
     std::unique_ptr<RaceDetector> races_;
+    std::unique_ptr<ScVerifier> replay_;
     std::uint64_t nChunks = 0;
 };
 

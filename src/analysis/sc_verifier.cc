@@ -1,4 +1,4 @@
-#include "core/sc_verifier.hh"
+#include "analysis/sc_verifier.hh"
 
 #include <sstream>
 

@@ -23,8 +23,8 @@
  *
  * Value tracking: the checker no longer requires the workload
  * generator's trackAllValues mode. Accesses without a meaningful
- * value (LoggedAccess::hasValue == false, logged when an
- * AnalysisEngine is attached) participate in the replay
+ * value (LoggedAccess::hasValue == false, logged when the engine also
+ * runs the axiomatic checker or the race detector) participate in the replay
  * structurally — an untracked store poisons the reference cell to
  * "unknown", and loads of unknown cells are counted but not
  * compared. Structural SC over those accesses is covered by the
@@ -42,8 +42,8 @@
  * it never infers writers from values.
  */
 
-#ifndef BULKSC_CORE_SC_VERIFIER_HH
-#define BULKSC_CORE_SC_VERIFIER_HH
+#ifndef BULKSC_ANALYSIS_SC_VERIFIER_HH
+#define BULKSC_ANALYSIS_SC_VERIFIER_HH
 
 #include <cstdint>
 #include <string>
@@ -63,7 +63,7 @@ class ScVerifier
   public:
     /**
      * A chunk committed (commit permission granted). Must be invoked
-     * in commit-grant order — which is how BulkProcessor calls it.
+     * in commit-grant order — which is how the AnalysisEngine calls it.
      *
      * @param p Committing processor.
      * @param log The chunk's accesses in program order.
@@ -107,4 +107,4 @@ class ScVerifier
 
 } // namespace bulksc
 
-#endif // BULKSC_CORE_SC_VERIFIER_HH
+#endif // BULKSC_ANALYSIS_SC_VERIFIER_HH

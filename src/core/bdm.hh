@@ -19,7 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/sc_verifier.hh"
+#include "analysis/access_log.hh"
 #include "signature/signature.hh"
 #include "sim/types.hh"
 
@@ -130,8 +130,8 @@ struct Chunk
     /** Speculative values written by this chunk (tracked addrs). */
     std::unordered_map<Addr, std::uint64_t> specValues;
 
-    /** Program-ordered access log for the SC verifier and the
-     *  analysis engine (only filled when one is attached). */
+    /** Program-ordered access log for the analysis engine's
+     *  checkers (only filled when the engine is attached). */
     std::vector<LoggedAccess> accessLog;
 
     /** This chunk's latest store to each address, as an index into

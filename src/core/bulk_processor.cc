@@ -98,10 +98,10 @@ void
 BulkProcessor::logLoad(Chunk &c, Addr addr, std::uint64_t value,
                        bool tracked)
 {
-    if (!((verifier && tracked) || analysis))
+    if (!analysis || !(tracked || analysis->logsAllAccesses()))
         return;
     LoggedAccess a{addr, value, false, tracked, {}};
-    if (analysis)
+    if (analysis->logsAllAccesses())
         a.writer = findWriterTag(addr);
     c.accessLog.push_back(a);
 }
@@ -200,8 +200,8 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
 
     if (tracked)
         c.specValues[addr] = value;
-    if ((verifier && tracked) || analysis) {
-        if (analysis) {
+    if (analysis && (tracked || analysis->logsAllAccesses())) {
+        if (analysis->logsAllAccesses()) {
             c.specWriters[addr] =
                 static_cast<std::uint32_t>(c.accessLog.size());
         }
@@ -572,8 +572,6 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
     // and writer tags in lockstep.
     for (const auto &[a, v] : c->specValues)
         mem.writeValue(a, v);
-    if (verifier)
-        verifier->chunkCommitted(pid, c->accessLog);
     if (analysis)
         analysis->chunkCommitted(curTick(), pid, seq, c->accessLog);
 
@@ -924,7 +922,7 @@ BulkProcessor::syncLoad(Addr addr,
             // The value binds now, possibly in a later chunk than the
             // one the access started in (the first chunk may have
             // committed while a spin was in progress), so the read is
-            // attributed — R signature and verifier log — to the
+            // attributed — R signature and access log — to the
             // chunk that is current when it completes.
             withChunk([this, addr, done](Chunk &now) {
                 loadToChunk(now, lineOf(addr, prm.lineBytes), false);

@@ -25,7 +25,6 @@
 #include "analysis/analysis_engine.hh"
 #include "core/arbiter.hh"
 #include "core/bdm.hh"
-#include "core/sc_verifier.hh"
 #include "cpu/processor_base.hh"
 #include "sim/event_trace.hh"
 #include "sim/stats.hh"
@@ -158,13 +157,10 @@ class BulkProcessor : public ProcessorBase
      */
     void harden(const ResendConfig &rc) { resend = rc; }
 
-    /** Attach an SC conformance checker: committed chunks report
-     *  their access logs to it in commit order. */
-    void setVerifier(ScVerifier *v) { verifier = v; }
-
-    /** Attach an analysis engine: every access (tracked or not) is
-     *  logged, loads bind writer tags, and committed chunks report
-     *  in commit order. */
+    /** Attach an analysis engine: accesses are logged (all of them
+     *  with writer tags, or only the value-tracked ones for a
+     *  replay-only engine) and committed chunks report in commit
+     *  order. */
     void setAnalysis(AnalysisEngine *a) { analysis = a; }
 
     /** Live chunks right now (testing hook). */
@@ -261,8 +257,8 @@ class BulkProcessor : public ProcessorBase
      *  for value-untracked addresses. */
     WriterRef findWriterTag(Addr addr) const;
 
-    /** Append a load of @p addr to @p c's access log (analysis /
-     *  verifier instrumentation; call at value-bind time). */
+    /** Append a load of @p addr to @p c's access log (analysis
+     *  instrumentation; call at value-bind time). */
     void logLoad(Chunk &c, Addr addr, std::uint64_t value,
                  bool tracked);
 
@@ -339,7 +335,6 @@ class BulkProcessor : public ProcessorBase
      *  atomically as one chunk. */
     unsigned txnDepth = 0;
 
-    ScVerifier *verifier = nullptr;
     AnalysisEngine *analysis = nullptr;
 
     BulkStats bstats;

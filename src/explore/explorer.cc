@@ -5,68 +5,63 @@
 #include <thread>
 #include <unordered_set>
 
-#include "analysis/analysis_engine.hh"
-#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "system/system.hh"
 
 namespace bulksc {
 
-const char *
-exploreVerdictName(ExploreVerdict v)
+bool
+configureExploration(SimOptions &opts, ExploreConfig &ec,
+                     std::string &err)
 {
-    switch (v) {
-      case ExploreVerdict::OK:
-        return "ok";
-      case ExploreVerdict::ScViolation:
-        return "sc-violation";
-      case ExploreVerdict::Race:
-        return "race";
-      case ExploreVerdict::LitmusForbidden:
-        return "litmus-forbidden";
-      case ExploreVerdict::Deadlock:
-        return "deadlock";
-      case ExploreVerdict::Livelock:
-        return "livelock";
-      case ExploreVerdict::Starvation:
-        return "starvation";
-      case ExploreVerdict::Incomplete:
-        return "incomplete";
+    ResolvedWorkload work;
+    if (!resolveWorkload(opts, work, err))
+        return false;
+
+    ec = ExploreConfig{};
+    ec.machine = opts.cfg;
+    if (opts.explore.delayChoices > 0) {
+        // Turn every delivery latency into an explored choice by
+        // installing an always-on delay window; with a controller
+        // attached the window is a choice domain, not a random roll.
+        std::string item = "net.delay=0:" +
+                           std::to_string(opts.explore.delayChoices);
+        ec.machine.faults += ec.machine.faults.empty() ? item
+                                                       : "," + item;
     }
-    return "?";
+    ec.traces = std::move(work.traces);
+    ec.allowedSC = std::move(work.allowedSC);
+
+    // --check selects exactly the listed checkers; without it the
+    // axiomatic checker runs alone.
+    if (opts.checks.any()) {
+        ec.checkAxiomatic = opts.checks.axiomatic;
+        ec.checkRace = opts.checks.race;
+        ec.checkReplay = opts.checks.replay;
+    }
+
+    ec.por = opts.explore.por;
+    ec.fpPrune = opts.explore.fpPrune;
+    ec.bfs = opts.explore.bfs;
+    ec.jobs = static_cast<unsigned>(opts.explore.jobs);
+    ec.maxSchedules = opts.explore.maxSchedules;
+    ec.maxDecisions =
+        static_cast<std::uint32_t>(opts.explore.maxDecisions);
+    ec.tickLimit = opts.explore.tickLimit;
+    ec.wallLimitMs = opts.explore.wallMs;
+    ec.stopAtFirst = opts.explore.stopAtFirst;
+    ec.minimize = opts.explore.minimize;
+    return true;
 }
 
 Explorer::Explorer(ExploreConfig cfg) : ecfg(std::move(cfg))
 {
-    if (!ecfg.litmusName.empty()) {
-        LitmusTest lt;
-        fatal_if(!litmusByName(ecfg.litmusName, ecfg.litmusVariant, lt),
-                 "unknown litmus test '", ecfg.litmusName,
-                 "' (known: ", litmusNames(), ")");
-        litmusAllowed = lt.allowedSC;
-        ecfg.machine.numProcs =
-            static_cast<unsigned>(lt.traces.size());
-    } else {
-        fatal_if(ecfg.traces.empty(),
-                 "exploration needs a litmus test or traces");
-    }
     if (ecfg.jobs == 0)
         ecfg.jobs = 1;
 }
 
-std::vector<Trace>
-Explorer::makeTraces() const
-{
-    if (!ecfg.litmusName.empty()) {
-        LitmusTest lt;
-        litmusByName(ecfg.litmusName, ecfg.litmusVariant, lt);
-        return std::move(lt.traces);
-    }
-    return ecfg.traces;
-}
-
 RunOutcome
-Explorer::runOne(const Schedule &prefix) const
+Explorer::runOne(const Schedule &prefix, Results *full) const
 {
     RunOutcome out;
 
@@ -74,62 +69,22 @@ Explorer::runOne(const Schedule &prefix) const
     // hold tags when the queue is torn down mid-run (tick limit).
     RunController ctrl(prefix, ecfg.por);
 
-    System sys(ecfg.machine, makeTraces());
+    System sys(ecfg.machine, ecfg.traces);
     ctrl.setFingerprintFn([&sys] { return sys.stateFingerprint(); });
     sys.setScheduleController(&ctrl);
-    if (ecfg.checkAxiomatic || ecfg.checkRace)
-        sys.enableAnalysis(ecfg.checkAxiomatic, ecfg.checkRace);
+    sys.enableAnalysis(ecfg.checkAxiomatic, ecfg.checkRace,
+                       ecfg.checkReplay);
 
     Results res = sys.run(ecfg.tickLimit);
 
     out.execTime = res.execTime;
     out.trace = ctrl.trace();
     out.mismatches = ctrl.mismatches();
-
-    const AnalysisEngine *eng = sys.analysis();
-    if (eng && !eng->scOk()) {
-        out.verdict = ExploreVerdict::ScViolation;
-        if (eng->graph() && !eng->graph()->violations().empty()) {
-            out.detail = eng->graph()->describe(
-                eng->graph()->violations().front());
-        }
-        return out;
-    }
-    if (eng && eng->raceCount() > 0) {
-        out.verdict = ExploreVerdict::Race;
-        if (eng->races() && !eng->races()->reports().empty()) {
-            out.detail = eng->races()->describe(
-                eng->races()->reports().front());
-        }
-        return out;
-    }
-    if (litmusAllowed && res.completed &&
-        !litmusAllowed(res.loadResults)) {
-        out.verdict = ExploreVerdict::LitmusForbidden;
-        out.detail = "litmus outcome forbidden under SC";
-        return out;
-    }
-    switch (res.watchdogVerdict) {
-      case WatchdogVerdict::Deadlock:
-        out.verdict = ExploreVerdict::Deadlock;
-        break;
-      case WatchdogVerdict::Livelock:
-        out.verdict = ExploreVerdict::Livelock;
-        break;
-      case WatchdogVerdict::Starvation:
-        out.verdict = ExploreVerdict::Starvation;
-        break;
-      default:
-        break;
-    }
-    if (out.verdict != ExploreVerdict::OK) {
-        out.detail = res.watchdogReport;
-        return out;
-    }
-    if (!res.completed) {
-        out.verdict = ExploreVerdict::Incomplete;
-        out.detail = "tick limit reached before completion";
-    }
+    Judgement j = judgeRun(sys.analysis(), res, ecfg.allowedSC);
+    out.verdict = j.verdict;
+    out.detail = std::move(j.detail);
+    if (full)
+        *full = std::move(res);
     return out;
 }
 

@@ -23,13 +23,12 @@
  *    that differ only in when things happened; it is approximate
  *    (hash collisions) and can be disabled.
  *
- * Every run is judged by the full oracle set: the axiomatic SC
- * checker, the happens-before race detector, the litmus SC-outcome
- * predicate, and the forward-progress watchdog. The first violating
- * schedule is minimized by a linear search for the shortest forced
- * prefix that still reproduces the verdict; the reported
- * counterexample is that run's complete recorded trace, which replays
- * byte-identically.
+ * Every run is judged by the run pipeline's judge (system/run.hh)
+ * over the configured checkers, the litmus SC-outcome predicate and
+ * the forward-progress watchdog. The first violating schedule is
+ * minimized by a linear search for the shortest forced prefix that
+ * still reproduces the verdict; the reported counterexample is that
+ * run's complete recorded trace, which replays byte-identically.
  */
 
 #ifndef BULKSC_EXPLORE_EXPLORER_HH
@@ -42,39 +41,24 @@
 #include "explore/run_controller.hh"
 #include "explore/schedule.hh"
 #include "system/machine_config.hh"
-#include "workload/litmus.hh"
+#include "system/run.hh"
 
 namespace bulksc {
-
-/** What one explored schedule (or the whole exploration) concluded. */
-enum class ExploreVerdict
-{
-    OK,              //!< completed, all oracles clean
-    ScViolation,     //!< axiomatic SC cycle
-    Race,            //!< happens-before data race
-    LitmusForbidden, //!< litmus outcome forbidden under SC
-    Deadlock,        //!< watchdog: wedged
-    Livelock,        //!< watchdog: work without progress
-    Starvation,      //!< watchdog: one processor starved
-    Incomplete,      //!< hit the tick limit with no other verdict
-};
-
-const char *exploreVerdictName(ExploreVerdict v);
 
 /** Everything one exploration is configured by. */
 struct ExploreConfig
 {
     MachineConfig machine;
 
-    /** Litmus workload ("" = use @ref traces). */
-    std::string litmusName;
-    unsigned litmusVariant = 0;
-
-    /** Explicit workload when no litmus test is selected. */
+    /** The workload every schedule simulates. */
     std::vector<Trace> traces;
+
+    /** Litmus SC-outcome predicate (empty for none). */
+    LitmusPredicate allowedSC;
 
     bool checkAxiomatic = true;
     bool checkRace = false;
+    bool checkReplay = false;
 
     bool por = true;     //!< signature-based partial-order reduction
     bool fpPrune = true; //!< fingerprint revisit pruning
@@ -89,6 +73,15 @@ struct ExploreConfig
     bool stopAtFirst = true; //!< stop at the first violation
     bool minimize = true;    //!< minimize the counterexample
 };
+
+/**
+ * The exploration bulksc_explore runs for @p opts: the resolved
+ * workload, the --check selection (the axiomatic checker alone
+ * without it), the --explore-delay window, budgets and switches.
+ * False with @p err when the workload does not resolve.
+ */
+bool configureExploration(SimOptions &opts, ExploreConfig &ec,
+                          std::string &err);
 
 /** Outcome of one schedule. */
 struct RunOutcome
@@ -136,9 +129,11 @@ class Explorer
 
     /**
      * Run one schedule: force @p prefix, default beyond it, judge
-     * with every oracle. Deterministic in (config, prefix).
+     * with every oracle. Deterministic in (config, prefix). The
+     * run's full Results land in @p full when given.
      */
-    RunOutcome runOne(const Schedule &prefix) const;
+    RunOutcome runOne(const Schedule &prefix,
+                      Results *full = nullptr) const;
 
     /** Enumerate schedules until a violation, exhaustion, or a
      *  budget limit. */
@@ -154,14 +149,11 @@ class Explorer
         onSchedule;
 
   private:
-    std::vector<Trace> makeTraces() const;
     void minimizeCounterexample(const Schedule &full,
                                 ExploreVerdict target,
                                 ExploreResult &r) const;
 
     ExploreConfig ecfg;
-    std::function<bool(const std::vector<std::vector<std::uint64_t>> &)>
-        litmusAllowed;
 };
 
 } // namespace bulksc

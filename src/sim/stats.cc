@@ -132,13 +132,20 @@ StatGroup::dumpJson(std::ostream &os, const std::string &indent) const
         return;
     }
     os << "{";
+    dumpJsonMembers(os, "\n" + indent, ",\n" + indent);
+    os << "\n}";
+}
+
+void
+StatGroup::dumpJsonMembers(std::ostream &os, const std::string &lead,
+                           const std::string &sep) const
+{
     bool first = true;
     for (const auto &[k, v] : vals) {
-        os << (first ? "" : ",") << "\n"
-           << indent << "\"" << jsonEscape(k) << "\": " << jsonNumber(v);
+        os << (first ? lead : sep) << "\"" << jsonEscape(k)
+           << "\": " << jsonNumber(v);
         first = false;
     }
-    os << "\n}";
 }
 
 double

@@ -4,7 +4,7 @@
  *
  * Stats are plain accumulators registered with a StatGroup so they can be
  * enumerated and dumped as a table. Scalar counts, averages (mean over
- * samples), and simple distributions are supported; formula-style derived
+ * samples), and log2 histograms are supported; formula-style derived
  * values are computed at dump time by the owner.
  */
 
@@ -71,40 +71,6 @@ class Average
     }
 
   private:
-    double sum = 0.0;
-    std::uint64_t n = 0;
-};
-
-/** Min/max/mean distribution over a stream of samples. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        if (n == 0 || v < lo)
-            lo = v;
-        if (n == 0 || v > hi)
-            hi = v;
-        sum += v;
-        ++n;
-    }
-
-    double min() const { return n ? lo : 0.0; }
-    double max() const { return n ? hi : 0.0; }
-    double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
-    std::uint64_t samples() const { return n; }
-
-    void
-    reset()
-    {
-        lo = hi = sum = 0.0;
-        n = 0;
-    }
-
-  private:
-    double lo = 0.0;
-    double hi = 0.0;
     double sum = 0.0;
     std::uint64_t n = 0;
 };
@@ -200,10 +166,19 @@ class StatGroup
     void dump(std::ostream &os, const std::string &prefix = "") const;
 
     /**
-     * Print the group as a complete JSON object. Keys are escaped, and
-     * non-finite values (which JSON cannot represent) become null.
+     * Print the group as a complete JSON object, one member per line
+     * under @p indent ("{}" when empty).
      */
     void dumpJson(std::ostream &os, const std::string &indent = "  ") const;
+
+    /**
+     * The one stats-to-JSON writer: every entry as a `"key": value`
+     * member, sorted by key, @p lead before the first and @p sep
+     * before each later one. Keys are escaped, and non-finite values
+     * (which JSON cannot represent) become null.
+     */
+    void dumpJsonMembers(std::ostream &os, const std::string &lead,
+                         const std::string &sep) const;
 
   private:
     std::map<std::string, double> vals;

@@ -10,25 +10,10 @@
 
 #include "sim/rng.hh"
 #include "sim/stats.hh"
-#include "system/system.hh"
+#include "system/run.hh"
 #include "workload/app_profiles.hh"
-#include "workload/generator.hh"
 
 namespace bulksc {
-
-namespace {
-
-const AppProfile *
-findProfile(const std::string &name)
-{
-    for (const AppProfile &p : allProfiles()) {
-        if (p.name == name)
-            return &p;
-    }
-    return nullptr;
-}
-
-} // namespace
 
 SweepRunner::SweepRunner(SimOptions base_, std::vector<SweepAxis> axes_)
     : base(std::move(base_)), axes(std::move(axes_))
@@ -99,7 +84,7 @@ SweepRunner::validateGrid(std::string &err) const
             err = "point " + std::to_string(i) + ": " + perr;
             return false;
         }
-        if (!findProfile(o.app)) {
+        if (!lookupProfile(o.app)) {
             err = "point " + std::to_string(i) + ": unknown app '" +
                   o.app + "'";
             return false;
@@ -136,21 +121,19 @@ SweepRunner::runPoint(std::size_t idx, bool &ok) const
         ok = false;
         return os.str();
     }
-    const AppProfile *app = findProfile(o.app);
-    if (!app) {
-        os << ", \"error\": \"unknown app '" << jsonEscape(o.app)
-           << "'\"}";
+    ResolvedWorkload work;
+    if (!resolveWorkload(o, work, err)) {
+        os << ", \"error\": \"" << jsonEscape(err) << "\"}";
         ok = false;
         return os.str();
     }
 
-    std::vector<Trace> traces = generateTraces(
-        *app, o.cfg.numProcs, o.instrs, o.seedSalt);
-    System sys(o.cfg, std::move(traces));
+    System sys(o.cfg, std::move(work.traces));
+    sys.enableAnalysis(o.checks.axiomatic, o.checks.race, o.checks.replay);
     Results res = sys.run();
 
     os << ", \"model\": \"" << modelName(o.cfg.model) << '"';
-    os << ", \"app\": \"" << jsonEscape(o.app) << '"';
+    os << ", \"app\": \"" << jsonEscape(work.name) << '"';
     os << ", \"procs\": " << o.cfg.numProcs;
     os << ", \"instrs\": " << o.instrs;
     os << ", \"seed_salt\": " << o.seedSalt;
@@ -160,12 +143,7 @@ SweepRunner::runPoint(std::size_t idx, bool &ok) const
     os << ", \"watchdog\": \""
        << watchdogVerdictName(res.watchdogVerdict) << '"';
     os << ", \"stats\": {";
-    bool first = true;
-    for (const auto &[k, v] : res.stats.entries()) {
-        os << (first ? "" : ", ") << '"' << jsonEscape(k)
-           << "\": " << jsonNumber(v);
-        first = false;
-    }
+    res.stats.dumpJsonMembers(os, "", ", ");
     os << "}}";
     ok = res.completed &&
          res.watchdogVerdict == WatchdogVerdict::None;

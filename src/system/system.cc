@@ -106,27 +106,16 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
 System::~System() = default;
 
 void
-System::enableScVerification()
+System::enableAnalysis(bool axiomatic, bool race, bool replay)
 {
+    if (!axiomatic && !race && !replay)
+        return;
     fatal_if(!isBulk(cfg.model),
-             "SC verification is defined over chunked executions "
-             "(BulkSC models)");
-    verifier = std::make_unique<ScVerifier>();
-    for (auto &p : procs) {
-        if (auto *bp = dynamic_cast<BulkProcessor *>(p.get()))
-            bp->setVerifier(verifier.get());
-    }
-}
-
-void
-System::enableAnalysis(bool axiomatic, bool race)
-{
-    fatal_if(!isBulk(cfg.model),
-             "the analysis engine observes chunk commits (BulkSC "
-             "models)");
+             "the checkers observe chunk commits (BulkSC models)");
     AnalysisConfig acfg;
     acfg.axiomatic = axiomatic;
     acfg.race = race;
+    acfg.replay = replay;
     acfg.numProcs = cfg.numProcs;
     // The workload generator keeps every synchronization variable
     // (locks, barrier words) in this dedicated range.
@@ -364,16 +353,6 @@ System::collectStats(Results &res) const
         sg.set("bulk.resend_give_ups",
                static_cast<double>(agg.resendGiveUps));
         agg.resendAttempts.dumpInto(sg, "bulk.resend_attempts.");
-    }
-
-    if (verifier) {
-        sg.set("sc_verifier.verified", verifier->verified() ? 1 : 0);
-        sg.set("sc_verifier.chunks",
-               static_cast<double>(verifier->chunksChecked()));
-        sg.set("sc_verifier.reads",
-               static_cast<double>(verifier->readsChecked()));
-        sg.set("sc_verifier.errors",
-               static_cast<double>(verifier->errors().size()));
     }
 
     if (engine)

@@ -23,7 +23,6 @@
 #include "analysis/analysis_engine.hh"
 #include "core/arbiter.hh"
 #include "core/bulk_processor.hh"
-#include "core/sc_verifier.hh"
 #include "core/distributed_arbiter.hh"
 #include "cpu/processor_base.hh"
 #include "mem/memory_system.hh"
@@ -83,25 +82,14 @@ class System
     Results run(Tick limit = kTickNever);
 
     /**
-     * Attach an SC conformance checker (BulkSC models only): every
-     * committed chunk's access log is replayed serially in commit
-     * order and each load's observed value is checked. Call before
-     * run(); results land in stats ("sc_verifier.*") and via
-     * scVerifier(). Needs value tracking on the workload's ops.
+     * Attach the checker plane (BulkSC models only; none selected
+     * attaches nothing): committed chunks feed the axiomatic SC
+     * checker, the race detector and/or the serial-replay checker
+     * (which needs value-tracked ops). Call before run(); results
+     * land in stats ("analysis.*", "sc_verifier.*") and analysis().
      */
-    void enableScVerification();
-
-    /** The attached checker, or nullptr. */
-    const ScVerifier *scVerifier() const { return verifier.get(); }
-
-    /**
-     * Attach the analysis engine (BulkSC models only): committed
-     * chunks feed the axiomatic SC checker (po ∪ rf ∪ co ∪ fr
-     * acyclicity) and/or the happens-before race detector. Works on
-     * any workload — no value tracking needed. Call before run();
-     * results land in stats ("analysis.*") and via analysis().
-     */
-    void enableAnalysis(bool axiomatic = true, bool race = false);
+    void enableAnalysis(bool axiomatic = true, bool race = false,
+                        bool replay = false);
 
     /** The attached analysis engine, or nullptr. */
     const AnalysisEngine *analysis() const { return engine.get(); }
@@ -148,7 +136,6 @@ class System
     std::unique_ptr<ArbiterIface> arb;
     std::vector<std::unique_ptr<ProcessorBase>> procs;
     std::unique_ptr<Watchdog> dog;
-    std::unique_ptr<ScVerifier> verifier;
     std::unique_ptr<AnalysisEngine> engine;
 };
 

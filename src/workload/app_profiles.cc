@@ -314,13 +314,21 @@ allProfiles()
     return v;
 }
 
-const AppProfile &
-profileByName(const std::string &name)
+const AppProfile *
+lookupProfile(const std::string &name)
 {
     for (const auto &p : allProfiles()) {
         if (p.name == name)
-            return p;
+            return &p;
     }
+    return nullptr;
+}
+
+const AppProfile &
+profileByName(const std::string &name)
+{
+    if (const AppProfile *p = lookupProfile(name))
+        return *p;
     fatal("unknown application profile: ", name);
 }
 

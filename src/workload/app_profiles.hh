@@ -137,6 +137,9 @@ const std::vector<AppProfile> &commercialProfiles();
 /** All 13 evaluation workloads (SPLASH-2 then commercial). */
 const std::vector<AppProfile> &allProfiles();
 
+/** Look up a profile by name (nullptr if unknown). */
+const AppProfile *lookupProfile(const std::string &name);
+
 /** Look up a profile by name (fatal if unknown). */
 const AppProfile &profileByName(const std::string &name);
 

@@ -21,6 +21,13 @@
 
 namespace bulksc {
 
+/**
+ * Is an observed outcome allowed under SC? Receives the per-processor
+ * load-result vectors.
+ */
+using LitmusPredicate =
+    std::function<bool(const std::vector<std::vector<std::uint64_t>> &)>;
+
 /** One litmus test: per-processor traces plus an SC predicate. */
 struct LitmusTest
 {
@@ -29,13 +36,7 @@ struct LitmusTest
     /** One trace per participating processor. */
     std::vector<Trace> traces;
 
-    /**
-     * Is the observed outcome allowed under SC? Receives the
-     * per-processor load-result vectors.
-     */
-    std::function<bool(
-        const std::vector<std::vector<std::uint64_t>> &)>
-        allowedSC;
+    LitmusPredicate allowedSC;
 };
 
 /**

@@ -208,12 +208,13 @@ TEST(Transactions, SerializableUnderVerification)
     cfg.model = Model::BSCdypvt;
     cfg.numProcs = 4;
     System sys(cfg, {mk(0), mk(1), mk(2), mk(3)});
-    sys.enableScVerification();
+    sys.enableAnalysis(false, false, true);
     Results r = sys.run(200'000'000);
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.stats.get("sc_verifier.verified"), 1.0);
-    if (sys.scVerifier() && !sys.scVerifier()->verified()) {
-        for (const std::string &e : sys.scVerifier()->errors())
+    const ScVerifier *rep = sys.analysis()->replay();
+    if (rep && !rep->verified()) {
+        for (const std::string &e : rep->errors())
             ADD_FAILURE() << e;
     }
 }

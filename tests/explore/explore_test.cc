@@ -183,9 +183,11 @@ TEST_F(DependenceTest, DisjointSignaturesAreIndependent)
 ExploreConfig
 litmusConfig(const std::string &name)
 {
+    SimOptions opts;
+    opts.litmus = name;
     ExploreConfig ec;
-    ec.litmusName = name;
-    ec.machine.watchdog.enabled = true;
+    std::string err;
+    EXPECT_TRUE(configureExploration(opts, ec, err)) << err;
     ec.maxSchedules = 5000;
     return ec;
 }
@@ -348,6 +350,40 @@ TEST(Explorer, OnScheduleSeesDeterministicIndices)
     ExploreResult r = ex.explore();
     EXPECT_TRUE(ordered);
     EXPECT_EQ(next, r.schedulesRun);
+}
+
+// --check replay selects the serial-replay checker alone, and it
+// runs on every explored schedule (litmus ops are value-tracked).
+TEST(Explorer, CheckReplayRunsOnExploredSchedules)
+{
+    const char *argv[] = {"--litmus", "sb", "--check", "replay"};
+    SimOptions opts;
+    std::string err;
+    ASSERT_TRUE(OptionRegistry::instance().parse(
+        4, argv, opts, OptionGroup::Explore, err))
+        << err;
+    ExploreConfig ec;
+    ASSERT_TRUE(configureExploration(opts, ec, err)) << err;
+    EXPECT_TRUE(ec.checkReplay);
+    EXPECT_FALSE(ec.checkAxiomatic);
+    EXPECT_FALSE(ec.checkRace);
+
+    Explorer ex(ec);
+    Schedule last;
+    ex.onSchedule = [&last](std::uint64_t, const Schedule &pfx,
+                            const RunOutcome &) { last = pfx; };
+    ExploreResult r = ex.explore();
+    EXPECT_TRUE(r.exhaustive);
+    EXPECT_EQ(r.violations, 0u);
+    ASSERT_GT(last.size(), 0u);
+
+    Results res;
+    RunOutcome out = ex.runOne(last, &res);
+    EXPECT_EQ(out.verdict, ExploreVerdict::OK);
+    EXPECT_EQ(out.mismatches, 0u);
+    EXPECT_GT(res.stats.get("sc_verifier.chunks"), 0.0);
+    EXPECT_EQ(res.stats.get("sc_verifier.verified"), 1.0);
+    EXPECT_FALSE(res.stats.has("analysis.chunks"));
 }
 
 } // namespace

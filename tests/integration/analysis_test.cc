@@ -58,17 +58,16 @@ TEST_P(BulkModels, AxiomaticCheckerAgreesWithReplayVerifier)
     cfg.numProcs = 4;
     auto traces = generateTraces(app, 4, 10'000);
     System sys(std::move(cfg), std::move(traces));
-    sys.enableScVerification();
-    sys.enableAnalysis();
+    sys.enableAnalysis(true, false, true);
     Results r = sys.run(400'000'000);
     ASSERT_TRUE(r.completed);
     // Both checkers observe the same committed chunks and agree the
     // execution is SC.
-    ASSERT_NE(sys.scVerifier(), nullptr);
+    ASSERT_NE(sys.analysis()->replay(), nullptr);
     ASSERT_NE(sys.analysis(), nullptr);
-    EXPECT_TRUE(sys.scVerifier()->verified());
+    EXPECT_TRUE(sys.analysis()->replay()->verified());
     EXPECT_TRUE(sys.analysis()->scOk());
-    EXPECT_EQ(sys.scVerifier()->chunksChecked(),
+    EXPECT_EQ(sys.analysis()->replay()->chunksChecked(),
               sys.analysis()->chunksObserved());
 }
 

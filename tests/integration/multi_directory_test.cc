@@ -119,12 +119,13 @@ TEST(MultiDirectory, VerifiedSerializableAcrossModules)
     cfg.numArbiters = 4;
     auto traces = generateTraces(app, 8, 10'000);
     System sys(std::move(cfg), std::move(traces));
-    sys.enableScVerification();
+    sys.enableAnalysis(false, false, true);
     Results r = sys.run(200'000'000);
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.stats.get("sc_verifier.verified"), 1.0);
-    if (sys.scVerifier() && !sys.scVerifier()->verified()) {
-        for (const std::string &e : sys.scVerifier()->errors())
+    const ScVerifier *rep = sys.analysis()->replay();
+    if (rep && !rep->verified()) {
+        for (const std::string &e : rep->errors())
             ADD_FAILURE() << e;
     }
 }

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sc_verifier.hh"
+#include "analysis/sc_verifier.hh"
 #include "system/system.hh"
 #include "workload/generator.hh"
 
@@ -28,11 +28,12 @@ runVerified(Model m, AppProfile app, unsigned procs,
     cfg.numProcs = procs;
     auto traces = generateTraces(app, procs, instrs, salt);
     System sys(std::move(cfg), std::move(traces));
-    sys.enableScVerification();
+    sys.enableAnalysis(false, false, true);
     Results r = sys.run(400'000'000);
     EXPECT_TRUE(r.completed);
-    if (sys.scVerifier() && !sys.scVerifier()->verified()) {
-        for (const std::string &e : sys.scVerifier()->errors())
+    const ScVerifier *rep = sys.analysis()->replay();
+    if (rep && !rep->verified()) {
+        for (const std::string &e : rep->errors())
             ADD_FAILURE() << e;
     }
     return r;

@@ -36,41 +36,6 @@ TEST(Average, MeanOverSamples)
     EXPECT_DOUBLE_EQ(a.total(), 6.0);
 }
 
-TEST(Distribution, TracksMinMaxMean)
-{
-    Distribution d;
-    d.sample(5.0);
-    d.sample(-1.0);
-    d.sample(2.0);
-    EXPECT_DOUBLE_EQ(d.min(), -1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 5.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-}
-
-TEST(Distribution, SingleSample)
-{
-    Distribution d;
-    d.sample(7.0);
-    EXPECT_EQ(d.samples(), 1u);
-    EXPECT_DOUBLE_EQ(d.min(), 7.0);
-    EXPECT_DOUBLE_EQ(d.max(), 7.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 7.0);
-}
-
-TEST(Distribution, AllNegativeSamples)
-{
-    Distribution d;
-    d.sample(-8.0);
-    d.sample(-2.0);
-    EXPECT_DOUBLE_EQ(d.min(), -8.0);
-    EXPECT_DOUBLE_EQ(d.max(), -2.0);
-    EXPECT_DOUBLE_EQ(d.mean(), -5.0);
-    d.reset();
-    EXPECT_EQ(d.samples(), 0u);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-    EXPECT_DOUBLE_EQ(d.max(), 0.0);
-}
-
 TEST(Histogram, EmptyIsAllZero)
 {
     Histogram h;

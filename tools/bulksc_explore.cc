@@ -19,136 +19,37 @@
  *   --schedule-out FILE    write the minimized counterexample
  *   --results-out FILE     one JSON object per explored schedule
  *
- * Exit codes match bulksc_sim: 0 clean, 2 incomplete, 3 SC/litmus
- * violation, 4 race, 10 livelock, 11 starvation, 12 deadlock.
+ * Exit codes are the run pipeline's (system/run.hh,
+ * docs/analysis.md), shared with bulksc_sim; an exploration that finds
+ * no violation exits 0 even when a budget ran out.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "explore/explorer.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
-#include "system/sim_options.hh"
-#include "workload/app_profiles.hh"
-#include "workload/generator.hh"
-#include "workload/trace_io.hh"
 
 using namespace bulksc;
-
-namespace {
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr, "usage: %s [options]\n", argv0);
-    OptionRegistry::instance().printUsage(stderr,
-                                          OptionGroup::Explore);
-    std::exit(1);
-}
-
-int
-verdictExitCode(ExploreVerdict v)
-{
-    switch (v) {
-      case ExploreVerdict::OK:
-        return 0;
-      case ExploreVerdict::ScViolation:
-      case ExploreVerdict::LitmusForbidden:
-        return 3;
-      case ExploreVerdict::Race:
-        return 4;
-      case ExploreVerdict::Livelock:
-        return 10;
-      case ExploreVerdict::Starvation:
-        return 11;
-      case ExploreVerdict::Deadlock:
-        return 12;
-      case ExploreVerdict::Incomplete:
-        return 2;
-    }
-    return 2;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
 
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--help") ||
-            !std::strcmp(argv[i], "-h")) {
-            usage(argv[0]);
-        }
-    }
-
     SimOptions opts;
-    const OptionRegistry &reg = OptionRegistry::instance();
-    std::string err;
-    if (!reg.parse(argc - 1, argv + 1, opts, OptionGroup::Explore,
-                   err)) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
-        usage(argv[0]);
-    }
-
-    if (!opts.cfg.validate(err)) {
-        std::fprintf(stderr, "%s: invalid configuration: %s\n",
-                     argv[0], err.c_str());
-        return 1;
-    }
-
-    if (opts.dumpConfig) {
-        reg.dumpConfigJson(stdout, opts);
-        return 0;
-    }
+    int rc;
+    if (!parseDriverOptions(argc, argv, OptionGroup::Explore, nullptr,
+                            opts, rc))
+        return rc;
 
     ExploreConfig ec;
-    ec.machine = opts.cfg;
-    if (opts.explore.delayChoices > 0) {
-        // Turn every delivery latency into an explored choice by
-        // installing an always-on delay window; with a controller
-        // attached the window is a choice domain, not a random roll.
-        std::string item = "net.delay=0:" +
-                           std::to_string(opts.explore.delayChoices);
-        ec.machine.faults += ec.machine.faults.empty() ? item
-                                                       : "," + item;
+    std::string err;
+    if (!configureExploration(opts, ec, err)) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+        return 1;
     }
-
-    if (!opts.litmus.empty()) {
-        ec.litmusName = opts.litmus;
-        ec.litmusVariant = static_cast<unsigned>(opts.seedSalt);
-    } else if (!opts.loadTraces.empty()) {
-        ec.traces = loadTraces(opts.loadTraces);
-        if (ec.traces.empty())
-            return 1;
-        ec.machine.numProcs =
-            static_cast<unsigned>(ec.traces.size());
-    } else {
-        AppProfile app = profileByName(opts.app);
-        ec.traces = generateTraces(app, ec.machine.numProcs,
-                                   opts.instrs, opts.seedSalt);
-    }
-
-    if (opts.checks.any()) {
-        ec.checkAxiomatic = opts.checks.axiomatic;
-        ec.checkRace = opts.checks.race;
-    }
-
-    ec.por = opts.explore.por;
-    ec.fpPrune = opts.explore.fpPrune;
-    ec.bfs = opts.explore.bfs;
-    ec.jobs = static_cast<unsigned>(opts.explore.jobs);
-    ec.maxSchedules = opts.explore.maxSchedules;
-    ec.maxDecisions =
-        static_cast<std::uint32_t>(opts.explore.maxDecisions);
-    ec.tickLimit = opts.explore.tickLimit;
-    ec.wallLimitMs = opts.explore.wallMs;
-    ec.stopAtFirst = opts.explore.stopAtFirst;
-    ec.minimize = opts.explore.minimize;
-
     Explorer ex(std::move(ec));
 
     // --schedule FILE: replay exactly one recorded schedule.
@@ -205,7 +106,7 @@ main(int argc, char **argv)
             if (!out.detail.empty())
                 std::printf("  %s\n", out.detail.c_str());
         }
-        return verdictExitCode(out.verdict);
+        return exitCodeOf(out.verdict);
     }
 
     std::FILE *results = nullptr;
@@ -317,5 +218,5 @@ main(int argc, char **argv)
         }
     }
 
-    return r.found ? verdictExitCode(r.verdict) : 0;
+    return r.found ? exitCodeOf(r.verdict) : 0;
 }

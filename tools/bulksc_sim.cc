@@ -14,7 +14,8 @@
  *   --dump-config     print the effective configuration as JSON and
  *                     exit — the output round-trips through --config
  *   --check LIST      correctness checkers (axiomatic, race, replay);
- *                     exit code 3 on an SC violation, 4 on races
+ *                     exit codes and their precedence come from the
+ *                     run pipeline (system/run.hh, docs/analysis.md)
  *   --trace-out F     chunk-lifecycle events as Chrome trace_event
  *                     JSON (chrome://tracing or ui.perfetto.dev)
  *
@@ -24,101 +25,36 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "sim/event_trace.hh"
 #include "sim/trace_log.hh"
-#include "system/sim_options.hh"
-#include "system/system.hh"
-#include "workload/app_profiles.hh"
-#include "workload/generator.hh"
-#include "workload/litmus.hh"
+#include "system/run.hh"
 #include "workload/trace_io.hh"
 
 using namespace bulksc;
-
-namespace {
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr, "usage: %s [options]\n", argv0);
-    OptionRegistry::instance().printUsage(stderr, OptionGroup::Sim);
-    std::fprintf(stderr,
-                 "(BULKSC_TRACE=cat,... additionally enables the "
-                 "textual debug log)\n");
-    std::exit(1);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
 
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--help") ||
-            !std::strcmp(argv[i], "-h")) {
-            usage(argv[0]);
-        }
-    }
-
     SimOptions opts;
-    const OptionRegistry &reg = OptionRegistry::instance();
+    int rc;
+    if (!parseDriverOptions(argc, argv, OptionGroup::Sim,
+                            "(BULKSC_TRACE=cat,... additionally enables "
+                            "the textual debug log)",
+                            opts, rc))
+        return rc;
+
+    ResolvedWorkload work;
     std::string err;
-    if (!reg.parse(argc - 1, argv + 1, opts, OptionGroup::Sim, err)) {
+    if (!resolveWorkload(opts, work, err)) {
         std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
-        usage(argv[0]);
-    }
-
-    if (opts.app == "list") {
-        for (const AppProfile &p : allProfiles())
-            std::printf("%s\n", p.name.c_str());
-        return 0;
-    }
-
-    if (!opts.cfg.validate(err)) {
-        std::fprintf(stderr, "%s: invalid configuration: %s\n",
-                     argv[0], err.c_str());
         return 1;
     }
-
-    if (opts.dumpConfig) {
-        reg.dumpConfigJson(stdout, opts);
-        return 0;
-    }
-
-    MachineConfig &cfg = opts.cfg;
-    AppProfile app = profileByName(opts.app);
-    if (opts.checks.replay)
-        app.trackAllValues = true; // replay compares observed values
-
-    std::vector<Trace> traces;
-    LitmusTest litmus;
-    if (!opts.litmus.empty()) {
-        if (!litmusByName(opts.litmus,
-                          static_cast<unsigned>(opts.seedSalt),
-                          litmus)) {
-            std::fprintf(stderr,
-                         "unknown litmus test '%s' (known: %s)\n",
-                         opts.litmus.c_str(), litmusNames());
-            usage(argv[0]);
-        }
-        traces = litmus.traces;
-        cfg.numProcs = static_cast<unsigned>(traces.size());
-        app.name = "litmus-" + opts.litmus;
-    } else if (!opts.loadTraces.empty()) {
-        traces = loadTraces(opts.loadTraces);
-        if (traces.empty())
-            return 1;
-    } else {
-        traces = generateTraces(app, cfg.numProcs, opts.instrs,
-                                opts.seedSalt);
-    }
     if (!opts.saveTraces.empty() &&
-        !saveTraces(opts.saveTraces, traces)) {
+        !saveTraces(opts.saveTraces, work.traces)) {
         return 1;
     }
 
@@ -127,44 +63,20 @@ main(int argc, char **argv)
             parseTraceCategories(opts.traceCats));
     }
 
-    System sys(cfg, std::move(traces));
-    if (opts.checks.replay)
-        sys.enableScVerification();
-    if (opts.checks.axiomatic || opts.checks.race)
-        sys.enableAnalysis(opts.checks.axiomatic, opts.checks.race);
+    const MachineConfig &cfg = opts.cfg;
+    System sys(cfg, std::move(work.traces));
+    sys.enableAnalysis(opts.checks.axiomatic, opts.checks.race,
+                       opts.checks.replay);
     Results res = sys.run();
 
     const AnalysisEngine *eng = sys.analysis();
-    const ScVerifier *rep = sys.scVerifier();
-    bool litmus_forbidden =
-        litmus.allowedSC && res.completed &&
-        !litmus.allowedSC(res.loadResults);
-    bool sc_fail = (rep && !rep->verified()) ||
-                   (eng && !eng->scOk()) || litmus_forbidden;
-    bool races_found = eng && eng->raceCount() > 0;
-    // Distinct exit code per watchdog verdict so fault campaigns can
-    // tell a livelock from a wedged protocol without parsing output.
-    int wd_rc = 0;
-    switch (res.watchdogVerdict) {
-      case WatchdogVerdict::Livelock:
-        wd_rc = 10;
-        break;
-      case WatchdogVerdict::Starvation:
-        wd_rc = 11;
-        break;
-      case WatchdogVerdict::Deadlock:
-        wd_rc = 12;
-        break;
-      default:
-        break;
-    }
-    int rc = sc_fail         ? 3
-             : races_found   ? 4
-             : wd_rc         ? wd_rc
-             : res.completed ? 0
-                             : 2;
+    const ScVerifier *rep = eng ? eng->replay() : nullptr;
+    bool litmus_forbidden = litmusForbidden(res, work.allowedSC);
+    ExploreVerdict verdict =
+        judgeRun(eng, res, work.allowedSC).verdict;
+    rc = exitCodeOf(verdict);
 
-    if (wd_rc)
+    if (res.watchdogVerdict != WatchdogVerdict::None)
         std::fputs(res.watchdogReport.c_str(), stderr);
 
     if (!opts.traceOut.empty()) {
@@ -186,17 +98,17 @@ main(int argc, char **argv)
         std::printf("{\n  \"model\": \"%s\",\n  \"app\": \"%s\","
                     "\n  \"procs\": %u,\n  \"completed\": %s",
                     modelName(cfg.model),
-                    jsonEscape(app.name).c_str(), cfg.numProcs,
+                    jsonEscape(work.name).c_str(), cfg.numProcs,
                     res.completed ? "true" : "false");
         std::printf(",\n  \"watchdog\": \"%s\"",
                     watchdogVerdictName(res.watchdogVerdict));
-        if (litmus.allowedSC) {
+        if (work.allowedSC) {
             std::printf(",\n  \"litmus_sc_ok\": %s",
                         litmus_forbidden ? "false" : "true");
         }
-        for (const auto &[k, v] : res.stats.entries())
-            std::printf(",\n  \"%s\": %s", jsonEscape(k).c_str(),
-                        jsonNumber(v).c_str());
+        std::ostringstream stats;
+        res.stats.dumpJsonMembers(stats, ",\n  ", ",\n  ");
+        std::fputs(stats.str().c_str(), stdout);
         if (eng && eng->graph()) {
             const MemOrderGraph &g = *eng->graph();
             std::printf(",\n  \"sc_violations\": [");
@@ -253,7 +165,7 @@ main(int argc, char **argv)
     }
 
     std::printf("model=%s app=%s procs=%u instrs/proc=%llu\n",
-                modelName(cfg.model), app.name.c_str(), cfg.numProcs,
+                modelName(cfg.model), work.name.c_str(), cfg.numProcs,
                 static_cast<unsigned long long>(opts.instrs));
     std::printf("completed=%s exec_time=%llu cycles\n",
                 res.completed ? "yes" : "NO",
@@ -262,9 +174,9 @@ main(int argc, char **argv)
         std::printf("watchdog: %s\n",
                     watchdogVerdictName(res.watchdogVerdict));
     }
-    if (litmus.allowedSC) {
+    if (work.allowedSC) {
         std::printf("litmus %s: outcome %s under SC\n",
-                    litmus.name.c_str(),
+                    work.litmusName.c_str(),
                     litmus_forbidden ? "FORBIDDEN" : "allowed");
     }
     if (rep) {
@@ -303,7 +215,9 @@ main(int argc, char **argv)
         for (const auto &r : rd.reports())
             std::printf("  %s\n", rd.describe(r).c_str());
     }
-    if (sc_fail || races_found)
+    if (verdict == ExploreVerdict::ScViolation ||
+        verdict == ExploreVerdict::LitmusForbidden ||
+        verdict == ExploreVerdict::Race)
         return rc;
 
     if (opts.dumpAll) {
