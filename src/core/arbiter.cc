@@ -3,7 +3,6 @@
 #include "sim/event_trace.hh"
 #include "sim/rng.hh"
 #include "sim/logging.hh"
-#include "sim/trace_log.hh"
 
 namespace bulksc {
 
@@ -212,9 +211,6 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
         auto finalize = [this, p, reply](
                             bool ok,
                             const std::shared_ptr<Signature> &w_) {
-            TRACE_LOG(TraceCat::Commit, curTick(), "arbiter: ",
-                      ok ? "grant" : "deny", " for proc ", p,
-                      " (pending W list: ", wList.size(), ")");
             if (ok && w_->empty()) {
                 ++stats_.emptyWCommits;
             } else if (ok) {
@@ -260,8 +256,10 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
         if (!ok && faults && wList.size() < maxCommits &&
             faults->skipCollision()) {
             ++stats_.faultInjectedGrants;
-            TRACE_LOG(TraceCat::Commit, curTick(),
-                      "arbiter: FAULT-INJECTED grant for proc ", p);
+            EVENT_TRACE(TraceEventType::FaultInject, curTick(),
+                        trackArb(0), 0,
+                        static_cast<std::uint64_t>(
+                            FaultKind::ArbSkipCollision));
             ok = true;
         }
         finalize(ok, w);

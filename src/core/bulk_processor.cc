@@ -4,7 +4,6 @@
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/trace_log.hh"
 
 namespace bulksc {
 
@@ -35,9 +34,6 @@ BulkProcessor::currentChunk()
             static_cast<double>(curTick() - lastSquashTick));
         lastSquashTick = kTickNever;
     }
-    TRACE_LOG(TraceCat::Chunk, curTick(), name(), ": chunk ",
-              chunks.back()->seq, " opens at op ", pos, " (target ",
-              nextChunkTarget, " instrs)");
     EVENT_TRACE(TraceEventType::ChunkStart, curTick(), trackProc(pid),
                 chunks.back()->seq, nextChunkTarget);
     return chunks.back().get();
@@ -479,9 +475,6 @@ BulkProcessor::sendArbAttempt(const std::shared_ptr<ArbAttempt> &att)
         ++bstats.resends;
         EVENT_TRACE(TraceEventType::Resend, curTick(), trackProc(pid),
                     att->seq, att->attempts - 1);
-        TRACE_LOG(TraceCat::Fault, curTick(), name(), ": resend #",
-                  att->attempts - 1, " of commit request txn ",
-                  att->txn, " (chunk ", att->seq, ")");
     }
 
     arb.requestCommit(pid, att->txn, att->w, att->rp,
@@ -509,10 +502,8 @@ BulkProcessor::sendArbAttempt(const std::shared_ptr<ArbAttempt> &att)
                 // watchdog turns the stall into a deadlock report.
                 ++bstats.resendGiveUps;
                 arbAttempts.erase(att->txn);
-                TRACE_LOG(TraceCat::Fault, curTick(), name(),
-                          ": giving up on commit request txn ",
-                          att->txn, " after ", att->attempts,
-                          " attempts");
+                EVENT_TRACE(TraceEventType::ResendGiveUp, curTick(),
+                            trackProc(pid), att->seq, att->attempts);
                 return;
             }
             sendArbAttempt(att);
@@ -584,9 +575,6 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
         bstats.arbLatency.sample(
             static_cast<double>(curTick() - c->firstArbTick));
     }
-    TRACE_LOG(TraceCat::Commit, curTick(), name(), ": chunk ", seq,
-              " granted (", c->execInstrs, " instrs, |W|=",
-              c->wLines.size(), ", |R|=", c->r.exactSize(), ")");
     EVENT_TRACE(TraceEventType::ChunkCommit, curTick(), trackProc(pid),
                 seq, c->execInstrs);
 
@@ -646,9 +634,6 @@ BulkProcessor::rescueBoost()
     EVENT_TRACE(TraceEventType::WatchdogRescue, curTick(),
                 trackProc(pid), chunks.empty() ? 0 : chunks.front()->seq,
                 bprm.minChunkSize);
-    TRACE_LOG(TraceCat::Watchdog, curTick(), name(),
-              ": rescue boost — clamping chunks to ", bprm.minChunkSize,
-              " instrs and pre-arbitrating");
     nextChunkTarget = bprm.minChunkSize;
     for (auto &c : chunks) {
         if (c->endReached)
@@ -776,11 +761,6 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
         ++bstats.falsePositiveSquashes;
     else
         ++bstats.unattributedSquashes;
-    TRACE_LOG(TraceCat::Squash, curTick(), name(), ": squashing ",
-              chunks.size() - idx, " chunk(s) from seq ",
-              chunks[idx]->seq, ", rollback to op ",
-              chunks[idx]->startPos, " (", consecutiveSquashes,
-              " consecutive, ", squashCauseName(cause), ")");
     EVENT_TRACE(TraceEventType::Squash, curTick(), trackProc(pid),
                 chunks[idx]->seq, chunks.size() - idx,
                 static_cast<std::uint8_t>(cause));

@@ -1,8 +1,8 @@
 #include "cpu/processor_base.hh"
 
+#include "sim/event_trace.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/trace_log.hh"
 
 namespace bulksc {
 
@@ -189,9 +189,8 @@ ProcessorBase::execSync(const Op &op, std::function<void()> done)
              done](std::uint64_t old) {
                 if (epoch != e)
                     return;
-                TRACE_LOG(TraceCat::Sync, curTick(), name(),
-                          ": barrier arrive, count ", old, " -> ",
-                          old + 1);
+                EVENT_TRACE(TraceEventType::BarrierArrive, curTick(),
+                            trackProc(pid), 0, old + 1);
                 if (old + 1 == total) {
                     syncStore(count_addr, 0,
                               [this, e, gen_addr, gen_val, done] {

@@ -5,7 +5,6 @@
 #include "sim/event_trace.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/trace_log.hh"
 
 namespace bulksc {
 
@@ -536,9 +535,6 @@ MemorySystem::sendCommitW(ProcId committer, unsigned d,
         ++nCommitResends;
         EVENT_TRACE(TraceEventType::Resend, curTick(), trackDir(d), id,
                     attempt - 1);
-        TRACE_LOG(TraceCat::Fault, curTick(), "dir", d, ": resend #",
-                  attempt - 1, " of commit W ", id, " from proc ",
-                  committer);
     }
 
     auto deliver = [this, d, committer, txn, start, id, delivered] {
@@ -586,9 +582,8 @@ MemorySystem::sendCommitW(ProcId committer, unsigned d,
             // never complete, and the committer wedges — which is
             // exactly what the watchdog exists to report.
             ++nCommitAbandoned;
-            TRACE_LOG(TraceCat::Fault, curTick(), "dir", d,
-                      ": abandoning commit W ", id, " after ", attempt,
-                      " attempts");
+            EVENT_TRACE(TraceEventType::ResendGiveUp, curTick(),
+                        trackDir(d), id, attempt);
             return;
         }
         sendCommitW(committer, d, txn, start, id, delivered,
@@ -601,10 +596,8 @@ MemorySystem::dirHandleCommit(unsigned dir_idx, ProcId committer,
                               const std::shared_ptr<CommitTxn> &txn)
 {
     ExpansionResult res = dirs[dir_idx]->expand(*txn->w, committer);
-    TRACE_LOG(TraceCat::Coherence, curTick(), "dir", dir_idx,
-              ": expanded W of proc ", committer, " (", res.lookups,
-              " lookups, ", res.aliasLookups, " aliased, inval list 0x",
-              res.invalidationList, ")");
+    EVENT_TRACE(TraceEventType::DirExpand, curTick(), trackDir(dir_idx),
+                0, res.lookups);
     nDirLookups += res.lookups;
     nDirAliasLookups += res.aliasLookups;
     nDirUpdates += res.updates;

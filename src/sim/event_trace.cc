@@ -1,6 +1,8 @@
 #include "sim/event_trace.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -56,6 +58,12 @@ traceEventTypeName(TraceEventType t)
         return "watchdog-rescue";
       case TraceEventType::WatchdogTrip:
         return "watchdog-trip";
+      case TraceEventType::ResendGiveUp:
+        return "resend-give-up";
+      case TraceEventType::DirExpand:
+        return "dir-expand";
+      case TraceEventType::BarrierArrive:
+        return "barrier-arrive";
       default:
         return "?";
     }
@@ -88,13 +96,17 @@ traceEventCat(TraceEventType t)
         return TraceCat::Squash;
       case TraceEventType::DirBounce:
       case TraceEventType::BulkInval:
+      case TraceEventType::DirExpand:
         return TraceCat::Coherence;
+      case TraceEventType::BarrierArrive:
+        return TraceCat::Sync;
       case TraceEventType::ScViolation:
       case TraceEventType::RaceDetected:
         return TraceCat::Analysis;
       case TraceEventType::FaultInject:
       case TraceEventType::Resend:
       case TraceEventType::DirNack:
+      case TraceEventType::ResendGiveUp:
         return TraceCat::Fault;
       case TraceEventType::WatchdogRescue:
       case TraceEventType::WatchdogTrip:
@@ -102,6 +114,92 @@ traceEventCat(TraceEventType t)
       default:
         return TraceCat::Commit;
     }
+}
+
+namespace {
+
+constexpr TraceCat kAllCats[] = {
+    TraceCat::Chunk,     TraceCat::Commit, TraceCat::Squash,
+    TraceCat::Coherence, TraceCat::Sync,   TraceCat::Analysis,
+    TraceCat::Fault,     TraceCat::Watchdog,
+};
+
+/** The cause or outcome shown with @p ev, or nullptr if it has none. */
+const char *
+causeLabel(const TraceEvent &ev)
+{
+    switch (ev.type) {
+      case TraceEventType::Squash:
+      case TraceEventType::ChunkSquash:
+        return squashCauseName(static_cast<SquashCause>(ev.cause));
+      case TraceEventType::ArbDecision:
+        return ev.cause ? "grant" : "deny";
+      default:
+        return nullptr;
+    }
+}
+
+} // namespace
+
+const char *
+traceCatName(TraceCat cat)
+{
+    switch (cat) {
+      case TraceCat::Chunk:
+        return "chunk";
+      case TraceCat::Commit:
+        return "commit";
+      case TraceCat::Squash:
+        return "squash";
+      case TraceCat::Coherence:
+        return "coherence";
+      case TraceCat::Sync:
+        return "sync";
+      case TraceCat::Analysis:
+        return "analysis";
+      case TraceCat::Fault:
+        return "fault";
+      case TraceCat::Watchdog:
+        return "watchdog";
+      default:
+        return "?";
+    }
+}
+
+bool
+parseTraceCategories(const std::string &spec, std::uint32_t &mask,
+                     std::string &err)
+{
+    mask = 0;
+    std::size_t pos = 0;
+    while (pos < spec.size()) {
+        std::size_t comma = spec.find(',', pos);
+        if (comma == std::string::npos)
+            comma = spec.size();
+        std::string name = spec.substr(pos, comma - pos);
+        pos = comma + 1;
+        for (char &ch : name)
+            ch = static_cast<char>(
+                std::tolower(static_cast<unsigned char>(ch)));
+        if (name.empty())
+            continue;
+        if (name == "all") {
+            mask = ~std::uint32_t{0};
+            continue;
+        }
+        const TraceCat *c = std::find_if(
+            std::begin(kAllCats), std::end(kAllCats),
+            [&](TraceCat k) { return name == traceCatName(k); });
+        if (c == std::end(kAllCats)) {
+            err = "unknown trace category '" + name + "' (known: ";
+            for (TraceCat k : kAllCats)
+                err += std::string(traceCatName(k)) + ", ";
+            err += "all)";
+            return false;
+        }
+        mask |= static_cast<std::uint32_t>(*c);
+    }
+    return true;
 }
 
 std::string
@@ -381,14 +479,8 @@ EventTrace::writeChromeTrace(std::ostream &os) const
     for (const TraceEvent &ev : instants) {
         std::ostringstream e;
         e << "{\"name\":\"" << traceEventTypeName(ev.type);
-        if (ev.type == TraceEventType::Squash ||
-            ev.type == TraceEventType::ChunkSquash) {
-            e << " ("
-              << squashCauseName(static_cast<SquashCause>(ev.cause))
-              << ")";
-        } else if (ev.type == TraceEventType::ArbDecision) {
-            e << " (" << (ev.cause ? "grant" : "deny") << ")";
-        }
+        if (const char *cause = causeLabel(ev))
+            e << " (" << cause << ")";
         e << "\",\"cat\":\""
           << traceCatName(traceEventCat(ev.type)) << "\",\"ph\":\"i\""
           << ",\"ts\":" << ev.tick << ",\"pid\":" << ev.track + 1
@@ -411,6 +503,25 @@ EventTrace::exportChromeTrace(const std::string &path) const
     writeChromeTrace(f);
     f.flush();
     return static_cast<bool>(f);
+}
+
+void
+EventTrace::writeText(std::ostream &os) const
+{
+    for (const TraceEvent &ev : snapshot()) {
+        char prefix[48];
+        std::snprintf(prefix, sizeof(prefix), "%10llu: [%s] ",
+                      static_cast<unsigned long long>(ev.tick),
+                      traceCatName(traceEventCat(ev.type)));
+        std::string line = prefix + trackName(ev.track) + " " +
+                           traceEventTypeName(ev.type) +
+                           " seq=" + std::to_string(ev.seq) +
+                           " arg=" + std::to_string(ev.arg);
+        if (const char *cause = causeLabel(ev))
+            line += std::string(" cause=") + cause;
+        line += '\n';
+        os << line; // whole lines: one write each on unbuffered std::cerr
+    }
 }
 
 } // namespace bulksc

@@ -2,20 +2,20 @@
  * @file
  * Structured chunk-lifecycle event tracing.
  *
- * Where TRACE_LOG emits free-form text for humans, the EventTrace sink
- * records *typed* events (chunk start/commit/squash, arbitration
- * request/grant/deny, commit begin/end, directory bounces, bulk
- * invalidations) into a fixed-capacity ring buffer with tick
- * timestamps. The recorded stream can be exported as Chrome
- * `trace_event` JSON — one track per processor plus arbiter and
- * directory tracks — and opened directly in chrome://tracing or
- * https://ui.perfetto.dev.
+ * The simulator's one trace plane. The EventTrace sink records *typed*
+ * events (chunk start/commit/squash, arbitration request/grant/deny,
+ * commit begin/end, directory expansions and bounces, bulk
+ * invalidations, barrier arrivals, faults, resends, watchdog actions)
+ * into a fixed-capacity ring buffer with tick timestamps. The recorded
+ * stream can be exported as Chrome `trace_event` JSON — one track per
+ * processor plus arbiter and directory tracks — and opened directly in
+ * chrome://tracing or https://ui.perfetto.dev, or rendered as one text
+ * line per event for humans.
  *
  * Recording is globally gated: when disabled (the default), every
- * instrumentation site costs a single predicted branch, the same guard
- * style as TRACE_LOG. When enabled, events are additionally filtered
- * by the TraceCat category mask, so `--trace-cats squash,commit`
- * records only those event families.
+ * instrumentation site costs a single predicted branch. When enabled,
+ * events are additionally filtered by the TraceCat category mask, so
+ * `--trace-cats squash,commit` records only those event families.
  *
  * Per-type totals are counted independently of the ring (the ring
  * keeps the most recent `capacity` events; the counters never drop),
@@ -32,10 +32,34 @@
 #include <string>
 #include <vector>
 
-#include "sim/trace_log.hh"
 #include "sim/types.hh"
 
 namespace bulksc {
+
+/** Trace categories (bitmask): the families events are filtered by. */
+enum class TraceCat : std::uint32_t
+{
+    Chunk = 1u << 0,     //!< chunk start/end
+    Commit = 1u << 1,    //!< arbitration and commit flow
+    Squash = 1u << 2,    //!< squashes and rollbacks
+    Coherence = 1u << 3, //!< directory / invalidation actions
+    Sync = 1u << 4,      //!< barrier arrivals
+    Analysis = 1u << 5,  //!< SC violations and data races found
+    Fault = 1u << 6,     //!< fault injections, resends and give-ups
+    Watchdog = 1u << 7,  //!< forward-progress watchdog actions
+};
+
+/** Short printable name of a category. */
+const char *traceCatName(TraceCat cat);
+
+/**
+ * Parse a comma-separated category list ("chunk,squash" or "all")
+ * into @p mask. Matching is case-insensitive and empty tokens are
+ * skipped. @return false, with @p err naming the offending token and
+ * the known names, on an unknown name.
+ */
+bool parseTraceCategories(const std::string &spec, std::uint32_t &mask,
+                          std::string &err);
 
 /** Typed chunk-lifecycle events. */
 enum class TraceEventType : std::uint8_t
@@ -60,6 +84,9 @@ enum class TraceEventType : std::uint8_t
     DirNack,      //!< directory refused a commit W delivery
     WatchdogRescue, //!< watchdog forced a starved proc's chunk small
     WatchdogTrip, //!< watchdog verdict reached (arg = verdict code)
+    ResendGiveUp, //!< retransmissions exhausted (arg = attempts)
+    DirExpand,    //!< directory expanded a commit W (arg = lookups)
+    BarrierArrive, //!< processor arrived at a barrier (arg = new count)
     NumTypes,
 };
 
@@ -174,6 +201,14 @@ class EventTrace
 
     /** writeChromeTrace() to @p path. @return false on I/O error. */
     bool exportChromeTrace(const std::string &path) const;
+
+    /**
+     * Render the ring in record order, one line per event:
+     * `<tick>: [<category>] <track> <type> seq=<seq> arg=<arg>`,
+     * followed by ` cause=<cause>` for squashes (the attributed cause)
+     * and arbiter decisions (grant or deny).
+     */
+    void writeText(std::ostream &os) const;
 
   private:
     EventTrace() = default;

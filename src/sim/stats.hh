@@ -2,10 +2,10 @@
  * @file
  * A small statistics framework in the spirit of the gem5 stats package.
  *
- * Stats are plain accumulators registered with a StatGroup so they can be
- * enumerated and dumped as a table. Scalar counts, averages (mean over
- * samples), and log2 histograms are supported; formula-style derived
- * values are computed at dump time by the owner.
+ * Components keep their own plain counters and log2 histograms and
+ * write them into a StatGroup — a flat name/value table — at dump time,
+ * together with formula-style derived values (rates, means) computed
+ * by the owner.
  */
 
 #ifndef BULKSC_SIM_STATS_HH
@@ -19,61 +19,6 @@
 #include <vector>
 
 namespace bulksc {
-
-/** A monotonically increasing counter. */
-class Counter
-{
-  public:
-    Counter &
-    operator+=(std::uint64_t n)
-    {
-        val += n;
-        return *this;
-    }
-
-    Counter &
-    operator++()
-    {
-        ++val;
-        return *this;
-    }
-
-    std::uint64_t value() const { return val; }
-
-    void reset() { val = 0; }
-
-  private:
-    std::uint64_t val = 0;
-};
-
-/** Mean over a stream of samples. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum += v;
-        ++n;
-    }
-
-    double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
-
-    std::uint64_t samples() const { return n; }
-
-    double total() const { return sum; }
-
-    void
-    reset()
-    {
-        sum = 0.0;
-        n = 0;
-    }
-
-  private:
-    double sum = 0.0;
-    std::uint64_t n = 0;
-};
 
 class StatGroup;
 

@@ -85,10 +85,6 @@ struct WatchdogConfig
     /** Absolute tick ceiling (0 = none); exceeding it is reported as
      *  a deadlock. */
     Tick tickCeiling = 0;
-
-    /** Flush the event-trace ring as Chrome JSON here on a trip
-     *  ("" = no flush). */
-    std::string dumpPath;
 };
 
 /** Complete machine configuration (defaults follow Table 2). */

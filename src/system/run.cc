@@ -12,14 +12,12 @@ namespace bulksc {
 
 bool
 parseDriverOptions(int argc, char **argv, OptionGroup group,
-                   const char *note, SimOptions &opts, int &rc)
+                   SimOptions &opts, int &rc)
 {
     const OptionRegistry &reg = OptionRegistry::instance();
     auto usage = [&] {
         std::fprintf(stderr, "usage: %s [options]\n", argv[0]);
         reg.printUsage(stderr, group);
-        if (note)
-            std::fprintf(stderr, "%s\n", note);
         rc = 1;
         return false;
     };

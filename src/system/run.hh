@@ -23,12 +23,12 @@ namespace bulksc {
 
 /**
  * The simulator drivers' front end: parse @p argv against @p group's
- * options (--help, -h and errors print the usage, then @p note),
- * handle `--app list` and --dump-config, and validate the machine.
+ * options (--help, -h and errors print the usage), handle `--app
+ * list` and --dump-config, and validate the machine.
  * False when the driver should exit now, with exit code @p rc.
  */
 bool parseDriverOptions(int argc, char **argv, OptionGroup group,
-                        const char *note, SimOptions &opts, int &rc);
+                        SimOptions &opts, int &rc);
 
 /** A workload ready to simulate. */
 struct ResolvedWorkload

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "sim/event_trace.hh"
 #include "sim/fault_plane.hh"
 #include "sim/stats.hh"
 
@@ -425,18 +426,6 @@ OptionRegistry::OptionRegistry()
            [](SimOptions &o, bool v) { o.cfg.watchdog.rescue = v; },
            [](const SimOptions &o) { return o.cfg.watchdog.rescue; });
 
-    b.strSet("watchdog-dump", "FILE",
-             "flush the event-trace ring as Chrome JSON here when "
-             "the watchdog trips",
-             kSim, false,
-             [](SimOptions &o, const std::string &v, std::string &) {
-                 o.cfg.watchdog.dumpPath = v;
-                 return true;
-             },
-             [](const SimOptions &o) {
-                 return o.cfg.watchdog.dumpPath;
-             });
-
     b.strSet(
         "check", "LIST",
         "correctness checkers, comma-separated: axiomatic | race | "
@@ -493,13 +482,25 @@ OptionRegistry::OptionRegistry()
            [](const SimOptions &o) { return o.jsonOut; });
 
     b.str("trace-out", "FILE",
-          "export chunk-lifecycle events as Chrome trace_event JSON",
+          "export chunk-lifecycle events as Chrome trace_event JSON "
+          "(\"-\": one text line per event on stderr)",
           kSim, false, &SimOptions::traceOut);
 
-    b.str("trace-cats", "LIST",
-          "event categories to record: chunk,commit,squash,"
-          "coherence,all",
-          kSim, false, &SimOptions::traceCats);
+    b.strSet("trace-cats", "LIST",
+             "event categories to record, comma-separated: chunk | "
+             "commit | squash | coherence | sync | analysis | fault | "
+             "watchdog | all",
+             kSim, false,
+             [](SimOptions &o, const std::string &v, std::string &err) {
+                 std::uint32_t mask;
+                 if (!parseTraceCategories(v, mask, err)) {
+                     err = "--trace-cats: " + err;
+                     return false;
+                 }
+                 o.traceCats = v;
+                 return true;
+             },
+             [](const SimOptions &o) { return o.traceCats; });
 
     // --config is recognized by parse() itself (it must be applied
     // before the other flags); this entry provides usage text and

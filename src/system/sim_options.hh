@@ -69,8 +69,8 @@ struct SimOptions
     bool dumpAll = false; //!< --stats: dump every statistic
     bool jsonOut = false; //!< --json: stats as a JSON object
 
-    std::string traceOut;          //!< Chrome trace_event output path
-    std::string traceCats = "all"; //!< event categories to record
+    std::string traceOut;          //!< trace output path ("-" = text)
+    std::string traceCats = "all"; //!< event categories (validated)
 
     bool dumpConfig = false; //!< print effective config JSON and exit
 

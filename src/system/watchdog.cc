@@ -116,9 +116,6 @@ Watchdog::check()
         if (cfg.rescue && !rescued[i]) {
             rescued[i] = true;
             ++nRescues;
-            TRACE_LOG(TraceCat::Watchdog, now, "watchdog: rescuing "
-                      "starved proc ", p->procId(), " (no commit for ",
-                      age, " ticks)");
             p->rescueBoost();
             continue;
         }
@@ -142,12 +139,6 @@ Watchdog::trip(WatchdogVerdict v, const std::string &why)
     report_ = diagnosticDump(why);
     EVENT_TRACE(TraceEventType::WatchdogTrip, curTick(), trackProc(0),
                 0, static_cast<std::uint64_t>(v));
-    TRACE_LOG(TraceCat::Watchdog, curTick(), "watchdog: ",
-              watchdogVerdictName(v), " — ", why);
-    if (!cfg.dumpPath.empty() && eventTraceEnabled()) {
-        if (!EventTrace::instance().exportChromeTrace(cfg.dumpPath))
-            warn("watchdog: cannot write trace dump to ", cfg.dumpPath);
-    }
     eventq.stop();
 }
 

@@ -12,8 +12,10 @@
 #include <sstream>
 
 #include "sim/event_trace.hh"
+#include "sim/fault_plane.hh"
 #include "system/system.hh"
 #include "workload/generator.hh"
+#include "workload/litmus.hh"
 
 namespace bulksc {
 namespace {
@@ -89,6 +91,89 @@ TEST_F(EventTraceIntegration, EventCountsMatchStats)
     EXPECT_EQ(et.count(TraceEventType::BulkInval),
               static_cast<std::uint64_t>(
                   res.stats.get("bulk.inval_nodes_total")));
+}
+
+TEST_F(EventTraceIntegration, DirectoryAndBarrierEventsMatchStats)
+{
+    EventTrace &et = EventTrace::instance();
+    et.enable(~std::uint32_t{0});
+    // ocean is barrier-synchronized: one barrier every 25k instrs.
+    Results res = runWorkload(Model::BSCdypvt, profileByName("ocean"),
+                              4, 60'000);
+    et.disable();
+    ASSERT_TRUE(res.completed);
+    ASSERT_EQ(et.dropped(), 0u);
+
+    // One DirExpand per W expansion, carrying its lookup count.
+    std::uint64_t lookups = 0;
+    for (const TraceEvent &ev : et.snapshot()) {
+        if (ev.type == TraceEventType::DirExpand)
+            lookups += ev.arg;
+    }
+    EXPECT_GT(et.count(TraceEventType::DirExpand), 0u);
+    EXPECT_EQ(lookups, static_cast<std::uint64_t>(
+                           res.stats.get("mem.dir_lookups")));
+
+    EXPECT_GT(et.count(TraceEventType::BarrierArrive), 0u);
+}
+
+TEST_F(EventTraceIntegration, ResendGiveUpsMatchStats)
+{
+    // Arbiter replies always lost (the processors give up) or commit
+    // W deliveries always lost (the memory system abandons them):
+    // either way the machine wedges. The tick ceiling bounds the
+    // commit-loss run, whose denied retries look like progress.
+    for (const char *faults :
+         {"arb.grant_loss=1.0", "dir.commit_loss=1.0"}) {
+        SCOPED_TRACE(faults);
+        EventTrace &et = EventTrace::instance();
+        et.enable(~std::uint32_t{0});
+        MachineConfig cfg;
+        cfg.model = Model::BSCdypvt;
+        cfg.numProcs = 2;
+        cfg.faults = faults;
+        cfg.resend.maxResend = 2;
+        cfg.watchdog.enabled = true;
+        cfg.watchdog.interval = 2'000;
+        cfg.watchdog.tickCeiling = 1'000'000;
+        System sys(cfg, makeStoreBuffering(0).traces);
+        Results res = sys.run(50'000'000);
+        et.disable();
+        ASSERT_EQ(res.watchdogVerdict, WatchdogVerdict::Deadlock);
+
+        EXPECT_GT(et.count(TraceEventType::ResendGiveUp), 0u);
+        EXPECT_EQ(et.count(TraceEventType::ResendGiveUp),
+                  static_cast<std::uint64_t>(
+                      res.stats.get("bulk.resend_give_ups") +
+                      res.stats.get("mem.commit_abandoned")));
+        EXPECT_EQ(et.count(TraceEventType::WatchdogTrip), 1u);
+    }
+}
+
+TEST_F(EventTraceIntegration, InjectedGrantsAreTraced)
+{
+    EventTrace &et = EventTrace::instance();
+    et.enable(~std::uint32_t{0});
+    MachineConfig cfg;
+    cfg.model = Model::BSCdypvt;
+    cfg.numProcs = 2;
+    cfg.bulk.rsigOpt = false;
+    cfg.faults = "arb.skip_collision=1";
+    System sys(cfg, makeStoreBuffering(0).traces);
+    Results res = sys.run(50'000'000);
+    et.disable();
+    ASSERT_TRUE(res.completed);
+
+    std::uint64_t injected = 0;
+    for (const TraceEvent &ev : et.snapshot()) {
+        if (ev.type == TraceEventType::FaultInject &&
+            ev.arg == static_cast<std::uint64_t>(
+                          FaultKind::ArbSkipCollision))
+            ++injected;
+    }
+    EXPECT_GT(injected, 0u);
+    EXPECT_EQ(injected, static_cast<std::uint64_t>(res.stats.get(
+                            "arb.fault_injected_grants")));
 }
 
 TEST_F(EventTraceIntegration, SquashAttributionSumsToTotal)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the structured event-trace sink and its Chrome
- * trace_event export.
+ * Unit tests for the structured event-trace sink, its category
+ * parser, and its Chrome trace_event and text renderings.
  */
 
 #include <gtest/gtest.h>
@@ -93,6 +93,100 @@ TEST_F(EventTraceTest, CategoryMaskFilters)
     EXPECT_EQ(et.count(TraceEventType::ChunkStart), 0u);
     EXPECT_EQ(et.count(TraceEventType::Squash), 1u);
     EXPECT_EQ(et.count(TraceEventType::ChunkSquash), 1u);
+}
+
+TEST_F(EventTraceTest, ParseCommaSeparatedList)
+{
+    std::uint32_t m = 0;
+    std::string err;
+    ASSERT_TRUE(parseTraceCategories("chunk,squash", m, err)) << err;
+    EXPECT_EQ(m, static_cast<std::uint32_t>(TraceCat::Chunk) |
+                     static_cast<std::uint32_t>(TraceCat::Squash));
+}
+
+TEST_F(EventTraceTest, ParseAll)
+{
+    std::uint32_t m = 0;
+    std::string err;
+    ASSERT_TRUE(parseTraceCategories("all", m, err)) << err;
+    EXPECT_EQ(m, ~std::uint32_t{0});
+}
+
+TEST_F(EventTraceTest, ParseIsCaseInsensitive)
+{
+    std::uint32_t m = 0;
+    std::string err;
+    ASSERT_TRUE(parseTraceCategories("Chunk,SQUASH", m, err)) << err;
+    EXPECT_EQ(m, static_cast<std::uint32_t>(TraceCat::Chunk) |
+                     static_cast<std::uint32_t>(TraceCat::Squash));
+    ASSERT_TRUE(parseTraceCategories("ALL", m, err)) << err;
+    EXPECT_EQ(m, ~std::uint32_t{0});
+}
+
+TEST_F(EventTraceTest, ParseSkipsEmptyTokens)
+{
+    std::uint32_t m = 1;
+    std::string err;
+    ASSERT_TRUE(parseTraceCategories(",chunk,,squash,", m, err)) << err;
+    EXPECT_EQ(m, static_cast<std::uint32_t>(TraceCat::Chunk) |
+                     static_cast<std::uint32_t>(TraceCat::Squash));
+    ASSERT_TRUE(parseTraceCategories("", m, err)) << err;
+    EXPECT_EQ(m, 0u);
+}
+
+TEST_F(EventTraceTest, ParseRejectsUnknownNames)
+{
+    std::uint32_t m = 0;
+    std::string err;
+    EXPECT_FALSE(parseTraceCategories("chunk,frobnicate", m, err));
+    EXPECT_NE(err.find("unknown trace category 'frobnicate'"),
+              std::string::npos)
+        << err;
+    // The message lists every known name.
+    for (const char *name : {"chunk", "commit", "squash", "coherence",
+                             "sync", "analysis", "fault", "watchdog",
+                             "all"}) {
+        EXPECT_NE(err.find(name), std::string::npos) << name;
+    }
+}
+
+TEST_F(EventTraceTest, NamesRoundTrip)
+{
+    for (TraceCat c : {TraceCat::Chunk, TraceCat::Commit,
+                       TraceCat::Squash, TraceCat::Coherence,
+                       TraceCat::Sync, TraceCat::Analysis,
+                       TraceCat::Fault, TraceCat::Watchdog}) {
+        std::uint32_t m = 0;
+        std::string err;
+        ASSERT_TRUE(parseTraceCategories(traceCatName(c), m, err)) << err;
+        EXPECT_EQ(m, static_cast<std::uint32_t>(c));
+    }
+}
+
+TEST_F(EventTraceTest, WriteTextRendersRingInRecordOrder)
+{
+    EventTrace &et = EventTrace::instance();
+    et.enable(~std::uint32_t{0});
+    et.record(TraceEventType::ChunkStart, 100, trackProc(0), 5, 1000);
+    et.record(TraceEventType::ArbDecision, 190, trackArb(0), 0, 2, 1);
+    et.record(TraceEventType::Squash, 250, trackProc(1), 6, 1,
+              static_cast<std::uint8_t>(SquashCause::TrueConflict));
+    et.record(TraceEventType::DirExpand, 260, trackDir(3), 0, 12);
+    et.record(TraceEventType::ResendGiveUp, 270, trackProc(1), 6, 3);
+    // Recorded out of tick order: the text keeps record order.
+    et.record(TraceEventType::BarrierArrive, 7, trackProc(2), 0, 3);
+
+    std::ostringstream os;
+    et.writeText(os);
+    EXPECT_EQ(os.str(),
+              "       100: [chunk] cpu0 chunk-start seq=5 arg=1000\n"
+              "       190: [commit] arbiter0 arb-decision seq=0 arg=2 "
+              "cause=grant\n"
+              "       250: [squash] cpu1 squash seq=6 arg=1 "
+              "cause=true-conflict\n"
+              "       260: [coherence] dir3 dir-expand seq=0 arg=12\n"
+              "       270: [fault] cpu1 resend-give-up seq=6 arg=3\n"
+              "         7: [sync] cpu2 barrier-arrive seq=0 arg=3\n");
 }
 
 TEST_F(EventTraceTest, EnableClearsPreviousContents)

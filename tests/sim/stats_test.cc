@@ -13,29 +13,6 @@
 namespace bulksc {
 namespace {
 
-TEST(Counter, StartsAtZeroAndAccumulates)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 41;
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Average, MeanOverSamples)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(1.0);
-    a.sample(2.0);
-    a.sample(3.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-    EXPECT_EQ(a.samples(), 3u);
-    EXPECT_DOUBLE_EQ(a.total(), 6.0);
-}
-
 TEST(Histogram, EmptyIsAllZero)
 {
     Histogram h;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "system/run.hh"
@@ -136,6 +137,13 @@ struct JudgeRow
     const char *name;
     int exitCode;
 };
+
+// Print the label so the test names do not carry the row's pointer bytes.
+void
+PrintTo(const JudgeRow &row, std::ostream *os)
+{
+    *os << row.label;
+}
 
 class JudgeTable : public ::testing::TestWithParam<JudgeRow>
 {};

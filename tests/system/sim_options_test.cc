@@ -238,5 +238,32 @@ TEST(SimOptions, CheckListParsing)
     EXPECT_NE(err.find("wat"), std::string::npos) << err;
 }
 
+TEST(SimOptions, KnownTraceCategoriesAreAccepted)
+{
+    SimOptions opts;
+    std::string err;
+    ASSERT_TRUE(parseArgs({"--trace-cats", "chunk,Squash,watchdog"}, opts,
+                          err))
+        << err;
+    EXPECT_EQ(opts.traceCats, "chunk,Squash,watchdog");
+    ASSERT_TRUE(parseArgs({"--trace-cats", "all"}, opts, err)) << err;
+    EXPECT_EQ(opts.traceCats, "all");
+}
+
+TEST(SimOptions, UnknownTraceCategoryIsAnError)
+{
+    SimOptions opts;
+    std::string err;
+    ASSERT_TRUE(parseArgs({"--trace-cats", "all"}, opts, err)) << err;
+
+    EXPECT_FALSE(parseArgs({"--trace-cats", "squash,bogus"}, opts, err));
+    EXPECT_NE(err.find("--trace-cats"), std::string::npos) << err;
+    EXPECT_NE(err.find("'bogus'"), std::string::npos) << err;
+    EXPECT_NE(err.find("known: chunk, commit, squash"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(opts.traceCats, "all"); // a rejected value is not stored
+}
+
 } // namespace
 } // namespace bulksc

@@ -40,8 +40,7 @@ main(int argc, char **argv)
 
     SimOptions opts;
     int rc;
-    if (!parseDriverOptions(argc, argv, OptionGroup::Explore, nullptr,
-                            opts, rc))
+    if (!parseDriverOptions(argc, argv, OptionGroup::Explore, opts, rc))
         return rc;
 
     ExploreConfig ec;

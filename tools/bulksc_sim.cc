@@ -17,18 +17,17 @@
  *                     exit codes and their precedence come from the
  *                     run pipeline (system/run.hh, docs/analysis.md)
  *   --trace-out F     chunk-lifecycle events as Chrome trace_event
- *                     JSON (chrome://tracing or ui.perfetto.dev)
- *
- * The BULKSC_TRACE environment variable independently enables the
- * textual debug log on stderr (same category names, e.g.
- * BULKSC_TRACE=chunk,squash).
+ *                     JSON (chrome://tracing or ui.perfetto.dev);
+ *                     "-" prints them as one text line per event on
+ *                     stderr instead
+ *   --trace-cats L    which event categories to record (default all)
  */
 
 #include <cstdio>
+#include <iostream>
 #include <sstream>
 
 #include "sim/event_trace.hh"
-#include "sim/trace_log.hh"
 #include "system/run.hh"
 #include "workload/trace_io.hh"
 
@@ -41,10 +40,7 @@ main(int argc, char **argv)
 
     SimOptions opts;
     int rc;
-    if (!parseDriverOptions(argc, argv, OptionGroup::Sim,
-                            "(BULKSC_TRACE=cat,... additionally enables "
-                            "the textual debug log)",
-                            opts, rc))
+    if (!parseDriverOptions(argc, argv, OptionGroup::Sim, opts, rc))
         return rc;
 
     ResolvedWorkload work;
@@ -59,8 +55,9 @@ main(int argc, char **argv)
     }
 
     if (!opts.traceOut.empty()) {
-        EventTrace::instance().enable(
-            parseTraceCategories(opts.traceCats));
+        std::uint32_t cats = 0;
+        parseTraceCategories(opts.traceCats, cats, err); // parser-checked
+        EventTrace::instance().enable(cats);
     }
 
     const MachineConfig &cfg = opts.cfg;
@@ -81,7 +78,9 @@ main(int argc, char **argv)
 
     if (!opts.traceOut.empty()) {
         const EventTrace &et = EventTrace::instance();
-        if (!et.exportChromeTrace(opts.traceOut)) {
+        if (opts.traceOut == "-") {
+            et.writeText(std::cerr);
+        } else if (!et.exportChromeTrace(opts.traceOut)) {
             std::fprintf(stderr, "error: cannot write trace to %s\n",
                          opts.traceOut.c_str());
             return 1;
