@@ -7,6 +7,12 @@
  * imposed from outside through the victim filter passed to insert(),
  * which is how the BDM prevents displacement of speculatively written
  * lines (Section 4.1.1).
+ *
+ * Host cost scales with the sets a run fills, not with the modelled
+ * capacity: tag storage is a pooled zero-page buffer that construction
+ * does not touch, and the array lists the sets that have ever held a
+ * line so that fingerprinting, whole-array iteration and teardown
+ * visit only those.
  */
 
 #ifndef BULKSC_MEM_CACHE_ARRAY_HH
@@ -55,6 +61,13 @@ class CacheArray
     using VictimFilter = std::function<bool(LineAddr)>;
 
     explicit CacheArray(const CacheGeometry &geom);
+    ~CacheArray();
+
+    /** Move-only: the array owns its pooled tag buffer. */
+    CacheArray(CacheArray &&other) noexcept;
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
+    CacheArray &operator=(CacheArray &&) = delete;
 
     /** Look up @p line, updating LRU on hit. @return entry or nullptr. */
     CacheLine *lookup(LineAddr line);
@@ -85,10 +98,12 @@ class CacheArray
 
     /** Apply @p fn to every valid line of set @p set_idx. */
     void forEachInSet(std::uint32_t set_idx,
-                      const std::function<void(CacheLine &)> &fn);
+                      const std::function<void(const CacheLine &)> &fn)
+        const;
 
-    /** Apply @p fn to every valid line in the array. */
-    void forEach(const std::function<void(CacheLine &)> &fn);
+    /** Apply @p fn to every valid line in the array, set by set in the
+     *  order the sets were first filled. */
+    void forEach(const std::function<void(const CacheLine &)> &fn) const;
 
     const CacheGeometry &geometry() const { return geom; }
 
@@ -100,7 +115,8 @@ class CacheArray
      * (valid lines and their states). LRU stamps and hit/miss
      * counters are deliberately excluded: they are performance
      * bookkeeping, and folding them in would make every explorer
-     * fingerprint unique, defeating revisit pruning.
+     * fingerprint unique, defeating revisit pruning. Costs
+     * O(sets ever filled), not O(capacity).
      */
     std::uint64_t fingerprint() const;
 
@@ -108,7 +124,11 @@ class CacheArray
     CacheLine *findWay(LineAddr line);
 
     CacheGeometry geom;
-    std::vector<CacheLine> lines;
+    CacheLine *lines = nullptr; //!< geom.numLines() entries, pooled
+
+    /** Indices of the sets that have ever held a line, in first-fill
+     *  order. Every other set is still all-Invalid and all-zero. */
+    std::vector<std::uint32_t> occupied;
     std::uint64_t lruCounter = 0;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;

@@ -416,7 +416,7 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
 
     std::vector<LineAddr> victims;
     for (std::uint32_t set : sets) {
-        c.array.forEachInSet(set, [&](CacheLine &l) {
+        c.array.forEachInSet(set, [&](const CacheLine &l) {
             if (w.contains(l.line))
                 victims.push_back(l.line);
         });

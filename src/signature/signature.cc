@@ -78,11 +78,8 @@ Signature::insert(LineAddr line)
 {
     if (tracksExact())
         exactSet.insert(line);
-    for (unsigned b = 0; b < cfg.numBanks; ++b) {
-        std::uint32_t idx = bankIndex(b, line);
-        bits[std::size_t{b} * wordsPerBank + idx / 64] |=
-            std::uint64_t{1} << (idx % 64);
-    }
+    for (unsigned b = 0; b < cfg.numBanks; ++b)
+        setBit(b, bankIndex(b, line));
 }
 
 bool
@@ -180,14 +177,21 @@ Signature::unionWith(const Signature &other)
     panic_if(cfg.totalBits != other.cfg.totalBits ||
                  cfg.numBanks != other.cfg.numBanks,
              "uniting signatures of different geometry");
-    for (std::size_t i = 0; i < bits.size(); ++i)
+    std::uint64_t flipped = 0;
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        flipped |= other.bits[i] & ~bits[i];
         bits[i] |= other.bits[i];
+    }
+    if (flipped)
+        memo.valid = false;
     exactSet.insert(other.exactSet.begin(), other.exactSet.end());
 }
 
 void
 Signature::clear()
 {
+    if (popCount() != 0)
+        memo.valid = false;
     std::fill(bits.begin(), bits.end(), 0);
     exactSet.clear();
 }
@@ -217,8 +221,12 @@ Signature::bitSet(unsigned bank, std::uint32_t idx) const
 void
 Signature::setBit(unsigned bank, std::uint32_t idx)
 {
-    bits[std::size_t{bank} * wordsPerBank + idx / 64] |=
-        std::uint64_t{1} << (idx % 64);
+    std::uint64_t &word = bits[std::size_t{bank} * wordsPerBank + idx / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+    if (!(word & bit)) {
+        word |= bit;
+        memo.valid = false;
+    }
 }
 
 unsigned
@@ -233,9 +241,13 @@ Signature::popCount() const
 std::uint64_t
 Signature::hash() const
 {
+    if (memo.valid)
+        return memo.value;
     std::uint64_t h = 0x5349'47'42'4cULL; // "SIGBL"
     for (std::uint64_t w : bits)
         h = mix64(h ^ w);
+    memo.value = h;
+    memo.valid = true;
     return h;
 }
 

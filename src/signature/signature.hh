@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -138,7 +139,9 @@ class Signature
 
     /** 64-bit digest of the Bloom bit array (explorer state
      *  fingerprinting). Equal signatures hash equal; the exact mirror
-     *  does not participate (it never travels on the wire). */
+     *  does not participate (it never travels on the wire). Memoized
+     *  until a Bloom bit flips, so hash() must not race with another
+     *  hash() of the same signature. */
     std::uint64_t hash() const;
 
     /** Raw bank-bit access (used by the wire codec). */
@@ -166,6 +169,30 @@ class Signature
 
     /** Exact mirror of inserted lines. */
     std::unordered_set<LineAddr> exactSet;
+
+    /** hash() of the current bits, if computed since the last flip.
+     *  A move leaves the source unset: its bits are gone. */
+    struct HashMemo
+    {
+        std::uint64_t value = 0;
+        bool valid = false;
+
+        HashMemo() = default;
+        HashMemo(const HashMemo &) = default;
+        HashMemo &operator=(const HashMemo &) = default;
+        HashMemo(HashMemo &&o) noexcept
+            : value(o.value), valid(std::exchange(o.valid, false))
+        {
+        }
+        HashMemo &
+        operator=(HashMemo &&o) noexcept
+        {
+            value = o.value;
+            valid = std::exchange(o.valid, false);
+            return *this;
+        }
+    };
+    mutable HashMemo memo;
 };
 
 } // namespace bulksc

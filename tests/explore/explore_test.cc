@@ -278,6 +278,36 @@ TEST(Explorer, FingerprintPruningShrinksTheSearch)
     EXPECT_EQ(rw.violations, ro.violations);
 }
 
+// The explored tree of clean litmus tests, pinned exactly: a change
+// to a state fingerprint moves pruned_fingerprint (and with it the
+// schedule count), and the tree must not depend on jobs. isa2 is the
+// case whose tree depends on the cache-line digest.
+TEST(Explorer, ExploredTreeIsPinned)
+{
+    struct Tree
+    {
+        const char *litmus;
+        std::uint64_t schedules, decisions, prunedPor, prunedFingerprint;
+    };
+    for (const Tree &want : {Tree{"sb", 9, 54, 2, 10},
+                             Tree{"mp", 2, 4, 2, 0},
+                             Tree{"isa2", 12, 110, 9, 26}}) {
+        for (unsigned jobs : {1u, 4u}) {
+            ExploreConfig ec = litmusConfig(want.litmus);
+            ASSERT_TRUE(ec.fpPrune);
+            ec.jobs = jobs;
+            ExploreResult r = Explorer(ec).explore();
+            SCOPED_TRACE(std::string(want.litmus) + " jobs " +
+                         std::to_string(jobs));
+            EXPECT_TRUE(r.exhaustive);
+            EXPECT_EQ(r.schedulesRun, want.schedules);
+            EXPECT_EQ(r.decisionsTotal, want.decisions);
+            EXPECT_EQ(r.prunedPor, want.prunedPor);
+            EXPECT_EQ(r.prunedFingerprint, want.prunedFingerprint);
+        }
+    }
+}
+
 // The end-to-end acceptance path: a fault that breaks the arbiter's
 // collision check must yield an SC-violation counterexample that
 // minimizes and replays to the identical verdict and schedule.

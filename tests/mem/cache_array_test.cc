@@ -2,12 +2,17 @@
  * @file
  * Unit tests for the set-associative tag array: lookup, LRU
  * replacement, victim filtering (the BDM's speculative-line
- * protection), and set iteration.
+ * protection), set iteration, fingerprints, and tag-buffer reuse.
  */
 
 #include <gtest/gtest.h>
 
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "mem/cache_array.hh"
+#include "sim/rng.hh"
 
 namespace bulksc {
 namespace {
@@ -151,10 +156,10 @@ TEST(CacheArray, ForEachInSetVisitsValidLines)
     c.insert(0, LineState::Shared, nullptr, vic);
     c.insert(4, LineState::Dirty, nullptr, vic);
     unsigned n = 0;
-    c.forEachInSet(0, [&](CacheLine &) { ++n; });
+    c.forEachInSet(0, [&](const CacheLine &) { ++n; });
     EXPECT_EQ(n, 2u);
     n = 0;
-    c.forEachInSet(1, [&](CacheLine &) { ++n; });
+    c.forEachInSet(1, [&](const CacheLine &) { ++n; });
     EXPECT_EQ(n, 0u);
 }
 
@@ -165,9 +170,95 @@ TEST(CacheArray, ForEachVisitsWholeArray)
     for (LineAddr l = 0; l < 6; ++l)
         c.insert(l, LineState::Shared, nullptr, vic);
     unsigned n = 0;
-    c.forEach([&](CacheLine &) { ++n; });
+    c.forEach([&](const CacheLine &) { ++n; });
     EXPECT_EQ(n, 6u);
 }
+
+/** Fingerprint folded over every set, independent of which sets the
+ *  array believes it has filled. */
+std::uint64_t
+referenceFingerprint(const CacheArray &c)
+{
+    std::uint64_t h = 0;
+    for (std::uint32_t s = 0; s < c.geometry().numSets(); ++s) {
+        c.forEachInSet(s, [&](const CacheLine &l) {
+            h += mix64(l.line * 4 + static_cast<std::uint64_t>(l.state));
+        });
+    }
+    return h;
+}
+
+TEST(CacheArray, FingerprintMatchesFullFoldUnderRandomOps)
+{
+    // 16 sets x 4 ways; 256 candidate lines force evictions.
+    CacheArray c(CacheGeometry{16 * 4 * 32, 4, 32});
+    Rng rng(61);
+    std::optional<Victim> vic;
+    for (int step = 0; step < 5000; ++step) {
+        LineAddr line = rng.below(256);
+        switch (rng.below(4)) {
+          case 0:
+            c.insert(line, LineState::Shared, nullptr, vic);
+            break;
+          case 1:
+            c.insert(line, LineState::Dirty, nullptr, vic);
+            break;
+          case 2:
+            c.invalidate(line);
+            break;
+          case 3: // dirty upgrade of a resident line
+            if (CacheLine *l = c.lookup(line))
+                l->state = LineState::Dirty;
+            break;
+        }
+        ASSERT_EQ(c.fingerprint(), referenceFingerprint(c))
+            << "step " << step;
+    }
+    unsigned visited = 0, valid = 0;
+    c.forEach([&](const CacheLine &) { ++visited; });
+    for (std::uint32_t s = 0; s < 16; ++s)
+        c.forEachInSet(s, [&](const CacheLine &) { ++valid; });
+    EXPECT_EQ(visited, valid);
+}
+
+TEST(CacheArray, ReusedTagBufferStartsInvalid)
+{
+    const CacheGeometry g{64 * 2 * 32, 2, 32};
+    {
+        CacheArray dirtied(g);
+        std::optional<Victim> vic;
+        for (LineAddr l = 0; l < 200; l += 3)
+            dirtied.insert(l, LineState::Dirty, nullptr, vic);
+        CacheArray moved(std::move(dirtied));
+        EXPECT_NE(moved.fingerprint(), 0u);
+        EXPECT_NE(moved.peek(3), nullptr);
+    }
+    CacheArray fresh(g);
+    EXPECT_EQ(fresh.fingerprint(), 0u);
+    EXPECT_EQ(referenceFingerprint(fresh), 0u);
+    for (LineAddr l = 0; l < 200; l += 3)
+        EXPECT_EQ(fresh.peek(l), nullptr) << "line " << l;
+    unsigned n = 0;
+    fresh.forEach([&](const CacheLine &) { ++n; });
+    EXPECT_EQ(n, 0u);
+}
+
+#ifdef __SANITIZE_ADDRESS__
+TEST(CacheArray, ReleasedTagBufferIsPoisoned)
+{
+    const CacheLine *stale = nullptr;
+    {
+        CacheArray c(tinyGeom());
+        std::optional<Victim> vic;
+        stale = c.insert(5, LineState::Dirty, nullptr, vic);
+        ASSERT_NE(stale, nullptr);
+        EXPECT_FALSE(__asan_address_is_poisoned(stale));
+    }
+    EXPECT_TRUE(__asan_address_is_poisoned(stale));
+    CacheArray reused(tinyGeom());
+    EXPECT_EQ(reused.peek(5), nullptr);
+}
+#endif
 
 } // namespace
 } // namespace bulksc

@@ -117,6 +117,83 @@ TEST(SignatureProperty, IntersectionIsConservative)
     }
 }
 
+/** hash() of a never-hashed signature holding @p s's Bloom bits. */
+std::uint64_t
+freshHash(const Signature &s)
+{
+    const SignatureConfig &cfg = s.config();
+    Signature f(cfg);
+    for (unsigned b = 0; b < cfg.numBanks; ++b) {
+        for (std::uint32_t i = 0; i < cfg.bitsPerBank(); ++i) {
+            if (s.bitSet(b, i))
+                f.setBit(b, i);
+        }
+    }
+    return f.hash();
+}
+
+TEST(Signature, MemoizedHashFollowsEveryMutation)
+{
+    SignatureConfig cfg;
+    Signature s(cfg);
+    std::uint64_t empty = s.hash();
+    EXPECT_EQ(empty, freshHash(s));
+
+    s.insert(0x1000); // new bits
+    EXPECT_NE(s.hash(), empty);
+    EXPECT_EQ(s.hash(), freshHash(s));
+    std::uint64_t one = s.hash();
+    s.insert(0x1000); // already present: nothing flips
+    EXPECT_EQ(s.hash(), one);
+    EXPECT_EQ(s.hash(), freshHash(s));
+
+    s.setBit(1, 7);
+    EXPECT_EQ(s.hash(), freshHash(s));
+    s.setBit(1, 7);
+    EXPECT_EQ(s.hash(), freshHash(s));
+
+    Signature other(cfg);
+    other.insert(0x2345);
+    s.unionWith(other);
+    EXPECT_EQ(s.hash(), freshHash(s));
+    s.unionWith(other); // subset: nothing flips
+    EXPECT_EQ(s.hash(), freshHash(s));
+
+    Signature copy(s);
+    EXPECT_EQ(copy.hash(), s.hash());
+    copy.insert(0x7777);
+    EXPECT_EQ(copy.hash(), freshHash(copy));
+    EXPECT_EQ(s.hash(), freshHash(s));
+
+    Signature assigned(cfg);
+    assigned.hash();
+    assigned = s;
+    EXPECT_EQ(assigned.hash(), freshHash(assigned));
+
+    s.clear();
+    EXPECT_EQ(s.hash(), empty);
+    EXPECT_EQ(s.hash(), freshHash(s));
+
+    // A moved-from signature hashes like one that was never hashed
+    // before the move; the destination keeps the source's hash.
+    Signature hashed(cfg), unhashed(cfg);
+    hashed.insert(0x42);
+    unhashed.insert(0x42);
+    std::uint64_t before = hashed.hash();
+    Signature dst(std::move(hashed));
+    Signature dst2(std::move(unhashed));
+    EXPECT_EQ(dst.hash(), before);
+    EXPECT_EQ(dst.hash(), freshHash(dst));
+    EXPECT_EQ(hashed.hash(), unhashed.hash()); // NOLINT(bugprone-use-after-move)
+
+    Signature target(cfg);
+    target.hash();
+    target = std::move(dst);
+    EXPECT_EQ(target.hash(), before);
+    Signature dst3(std::move(dst2));
+    EXPECT_EQ(dst.hash(), dst2.hash()); // NOLINT(bugprone-use-after-move)
+}
+
 TEST(Signature, DisjointSmallSetsUsuallyDontIntersect)
 {
     // With one line each on different cache sets and different high
