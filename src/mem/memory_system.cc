@@ -777,14 +777,19 @@ MemorySystem::dumpStats(StatGroup &sg, const std::string &prefix) const
     sg.set(prefix + "l1_misses", static_cast<double>(l1Misses()));
     sg.set(prefix + "bounced_reads", static_cast<double>(nBounced));
     sg.set(prefix + "invalidations", static_cast<double>(nInvals));
-    sg.set(prefix + "extra_invals", static_cast<double>(nExtraInvals));
     sg.set(prefix + "writebacks", static_cast<double>(nWritebacks));
     sg.set(prefix + "dir_lookups", static_cast<double>(nDirLookups));
-    sg.set(prefix + "dir_alias_lookups",
-           static_cast<double>(nDirAliasLookups));
     sg.set(prefix + "dir_updates", static_cast<double>(nDirUpdates));
-    sg.set(prefix + "dir_alias_updates",
-           static_cast<double>(nDirAliasUpdates));
+    // Aliasing is only countable against the exact mirror: without it
+    // these keys are absent rather than a misleading 0.
+    if (prm.sigCfg.tracksExact()) {
+        sg.set(prefix + "extra_invals",
+               static_cast<double>(nExtraInvals));
+        sg.set(prefix + "dir_alias_lookups",
+               static_cast<double>(nDirAliasLookups));
+        sg.set(prefix + "dir_alias_updates",
+               static_cast<double>(nDirAliasUpdates));
+    }
     sg.set(prefix + "dir_displacements",
            static_cast<double>(nDirDisplacements));
     sg.set(prefix + "fill_bypasses", static_cast<double>(nFillBypasses));

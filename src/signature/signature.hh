@@ -58,6 +58,9 @@ struct SignatureConfig
     std::uint64_t hashSeed = 0xb01d'5c5cULL;
 
     unsigned bitsPerBank() const { return totalBits / numBanks; }
+
+    /** True iff signatures built from this config keep exact sets. */
+    bool tracksExact() const { return exact || trackExact; }
 };
 
 /**
@@ -86,7 +89,7 @@ class Signature
     bool containsExact(LineAddr line) const;
 
     /** True iff the exact mirror is being maintained. */
-    bool tracksExact() const { return cfg.exact || cfg.trackExact; }
+    bool tracksExact() const { return cfg.tracksExact(); }
 
     /** @return true iff the signature encodes no addresses (=∅). */
     bool empty() const;

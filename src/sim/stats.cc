@@ -148,17 +148,6 @@ StatGroup::dumpJsonMembers(std::ostream &os, const std::string &lead,
     }
 }
 
-double
-geoMean(const std::vector<double> &vals)
-{
-    if (vals.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double v : vals)
-        acc += std::log(v);
-    return std::exp(acc / static_cast<double>(vals.size()));
-}
-
 std::string
 jsonEscape(const std::string &s)
 {

@@ -16,7 +16,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace bulksc {
 
@@ -128,9 +127,6 @@ class StatGroup
   private:
     std::map<std::string, double> vals;
 };
-
-/** Geometric mean of a vector of positive values (0 if empty). */
-double geoMean(const std::vector<double> &vals);
 
 /** Escape @p s for use inside a JSON string literal. */
 std::string jsonEscape(const std::string &s);

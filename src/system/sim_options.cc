@@ -239,6 +239,22 @@ OptionRegistry::OptionRegistry()
                   return std::uint64_t{o.cfg.bulk.chunkSize};
               });
 
+    b.uintSet("live-chunks", "N",
+              "signature pairs (chunks in progress) per processor",
+              kAll, true,
+              [](SimOptions &o, std::uint64_t v) {
+                  o.cfg.bulk.maxLiveChunks = static_cast<unsigned>(v);
+              },
+              [](const SimOptions &o) {
+                  return std::uint64_t{o.cfg.bulk.maxLiveChunks};
+              });
+
+    b.flag("chunk-at-sync",
+           "start every synchronization operation in a fresh chunk",
+           kAll, true,
+           [](SimOptions &o, bool v) { o.cfg.bulk.endChunkOnSync = v; },
+           [](const SimOptions &o) { return o.cfg.bulk.endChunkOnSync; });
+
     b.uintSet("sig-bits", "N", "signature size in bits", kAll, true,
               [](SimOptions &o, std::uint64_t v) {
                   o.cfg.bulk.sigCfg.totalBits =

@@ -101,7 +101,7 @@ enum class OptionGroup : unsigned
 {
     Sim = 1,     //!< bulksc_sim
     Batch = 2,   //!< bulksc_batch
-    Bench = 4,   //!< micro/figure benches
+    Bench = 4,   //!< bench/ microbenchmarks
     Explore = 8, //!< bulksc_explore
 };
 

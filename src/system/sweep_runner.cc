@@ -8,7 +8,6 @@
 #include <sstream>
 #include <thread>
 
-#include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "system/run.hh"
 #include "workload/app_profiles.hh"
@@ -19,15 +18,8 @@ SweepRunner::SweepRunner(SimOptions base_, std::vector<SweepAxis> axes_)
     : base(std::move(base_)), axes(std::move(axes_))
 {
     nPoints = 1;
-    sweepsSeedSalt = false;
-    sweepsFaultSeed = false;
-    for (const SweepAxis &a : axes) {
+    for (const SweepAxis &a : axes)
         nPoints *= a.values.size();
-        if (a.name == "seed-salt")
-            sweepsSeedSalt = true;
-        if (a.name == "fault-seed")
-            sweepsFaultSeed = true;
-    }
 }
 
 std::vector<std::pair<std::string, std::string>>
@@ -53,12 +45,6 @@ SweepRunner::pointOptions(std::size_t idx, SimOptions &out,
         if (!reg.applyKeyValue(out, name, value, err))
             return false;
     }
-    // Same point index, same trace and same fault schedule —
-    // regardless of which worker runs it or how many there are.
-    if (!sweepsSeedSalt)
-        out.seedSalt = deriveSeed(base.seedSalt, idx);
-    if (!sweepsFaultSeed)
-        out.cfg.faultSeed = deriveSeed(base.cfg.faultSeed, idx);
     return true;
 }
 
@@ -66,7 +52,8 @@ bool
 SweepRunner::validateGrid(std::string &err) const
 {
     const OptionRegistry &reg = OptionRegistry::instance();
-    for (const SweepAxis &a : axes) {
+    for (std::size_t i = 0; i < axes.size(); ++i) {
+        const SweepAxis &a = axes[i];
         const OptionDesc *d = reg.find(a.name);
         if (!d || !d->inConfig) {
             err = "unknown sweep axis '" + a.name + "'";
@@ -75,6 +62,12 @@ SweepRunner::validateGrid(std::string &err) const
         if (a.values.empty()) {
             err = "sweep axis '" + a.name + "' has no values";
             return false;
+        }
+        for (std::size_t j = 0; j < i; ++j) {
+            if (axes[j].name == a.name) {
+                err = "sweep axis '" + a.name + "' given twice";
+                return false;
+            }
         }
     }
     for (std::size_t i = 0; i < nPoints; ++i) {

@@ -10,10 +10,11 @@
  * EventTrace stays disabled — tracing a batch run is meaningless and
  * its ring buffer is not thread-safe.
  *
- * Determinism: point @c i always simulates with the same derived seed
- * salt (a mix64 of the base salt and @c i), so the emitted JSONL is
- * byte-identical for any -j. Sweeping the seed-salt axis explicitly
- * disables the derivation for that axis's values.
+ * Determinism: a point's inputs are a function of its settings alone.
+ * It simulates with the base (or swept) seed-salt and fault-seed, so
+ * two points with the same settings emit the same record in any grid,
+ * at any index, for any -j — and points that differ only in the model
+ * compare on the same traces.
  */
 
 #ifndef BULKSC_SYSTEM_SWEEP_RUNNER_HH
@@ -54,8 +55,9 @@ class SweepRunner
 
     /**
      * Validate the whole grid without simulating: axis names must be
-     * config-persistable registry options, every point's configuration
-     * must pass MachineConfig::validate(), and app names must exist.
+     * distinct config-persistable registry options, every point's
+     * configuration must pass MachineConfig::validate(), and app names
+     * must exist.
      * On failure @p err names the point and the offending option.
      */
     bool validateGrid(std::string &err) const;
@@ -77,9 +79,8 @@ class SweepRunner
     pointSettings(std::size_t idx) const;
 
     /**
-     * The options point @p idx simulates with: base + axis settings +
-     * the derived per-point seed salt. False + @p err if a setting
-     * does not apply cleanly.
+     * The options point @p idx simulates with: base + axis settings.
+     * False + @p err if a setting does not apply cleanly.
      */
     bool pointOptions(std::size_t idx, SimOptions &out,
                       std::string &err) const;
@@ -90,8 +91,6 @@ class SweepRunner
     SimOptions base;
     std::vector<SweepAxis> axes;
     std::size_t nPoints;
-    bool sweepsSeedSalt;
-    bool sweepsFaultSeed;
 };
 
 } // namespace bulksc

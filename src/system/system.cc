@@ -315,15 +315,20 @@ System::collectStats(Results &res) const
            static_cast<double>(agg.deniedCommits));
     sg.set("bulk.aborted_grants",
            static_cast<double>(agg.abortedGrants));
-    sg.set("bulk.avg_read_set", commits ? agg.rSizeSum / commits : 0.0);
     sg.set("bulk.avg_write_set",
            commits ? agg.wSizeSum / commits : 0.0);
     sg.set("bulk.avg_priv_write_set",
            commits ? agg.wprivSizeSum / commits : 0.0);
-    sg.set("bulk.spec_read_displacements",
-           static_cast<double>(agg.specReadDisplacements));
-    sg.set("bulk.spec_write_displacements",
-           static_cast<double>(agg.specWriteDisplacements));
+    // Read-set sizes and speculative displacements are measured on
+    // the exact mirror; without it the keys are absent, not 0.
+    if (cfg.bulk.sigCfg.tracksExact()) {
+        sg.set("bulk.avg_read_set",
+               commits ? agg.rSizeSum / commits : 0.0);
+        sg.set("bulk.spec_read_displacements",
+               static_cast<double>(agg.specReadDisplacements));
+        sg.set("bulk.spec_write_displacements",
+               static_cast<double>(agg.specWriteDisplacements));
+    }
     sg.set("bulk.priv_buffer_supplies",
            static_cast<double>(agg.privBufferSupplies));
     sg.set("bulk.priv_buffer_overflows",
@@ -381,6 +386,13 @@ System::collectStats(Results &res) const
         sg.set("arb.pre_arbitrations",
                static_cast<double>(as.preArbitrations));
         as.occupancy.dumpInto(sg, "arb.commit_occupancy.");
+        if (const auto *da =
+                dynamic_cast<const DistributedArbiter *>(arb.get())) {
+            sg.set("arb.single_range_commits",
+                   static_cast<double>(da->singleRangeCommits()));
+            sg.set("arb.multi_range_commits",
+                   static_cast<double>(da->multiRangeCommits()));
+        }
         if (faults.active()) {
             sg.set("arb.dup_requests",
                    static_cast<double>(as.dupRequests));

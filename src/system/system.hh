@@ -112,7 +112,6 @@ class System
     // --- component access for tests and benches ---
     MemorySystem &memory() { return *memSys; }
     Network &network() { return *net; }
-    ArbiterIface *arbiter() { return arb.get(); }
     FaultPlane &faultPlane() { return faults; }
     const Watchdog *watchdog() const { return dog.get(); }
     ProcessorBase &processor(unsigned i) { return *procs.at(i); }

@@ -152,8 +152,9 @@ slurp(std::FILE *f)
 TEST(FaultCampaign, BatchOutputByteIdenticalAcrossWorkerCounts)
 {
     // A faulty sweep must stream the exact same JSONL no matter how
-    // many workers race through the grid: per-point fault seeds are
-    // derived from the point index, never from scheduling.
+    // many workers race through the grid: every point draws its fault
+    // decisions from the base fault seed and its own settings, never
+    // from scheduling.
     SimOptions base;
     base.app = "fft";
     base.instrs = 1'500;
@@ -177,8 +178,8 @@ TEST(FaultCampaign, BatchOutputByteIdenticalAcrossWorkerCounts)
     std::string parallel = run(8);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel);
-    // Every record carries its derived fault seed and a clean
-    // watchdog verdict.
+    // Every record carries its fault seed and a clean watchdog
+    // verdict.
     EXPECT_NE(serial.find("\"fault_seed\""), std::string::npos);
     EXPECT_NE(serial.find("\"watchdog\": \"none\""),
               std::string::npos);

@@ -138,6 +138,16 @@ TEST(SystemIntegration, ExactMirrorIsTimingInvisible)
                      b.stats.get("bulk.commits"));
     EXPECT_DOUBLE_EQ(a.stats.get("cpu.squashes"),
                      b.stats.get("cpu.squashes"));
+    // Statistics measured on the mirror are absent without it, not 0.
+    for (const char *k :
+         {"bulk.avg_read_set", "bulk.spec_read_displacements",
+          "bulk.spec_write_displacements", "mem.extra_invals",
+          "mem.dir_alias_lookups", "mem.dir_alias_updates"}) {
+        EXPECT_TRUE(a.stats.has(k)) << k;
+        EXPECT_FALSE(b.stats.has(k)) << k;
+    }
+    // Squash attribution keeps its keys: unattributed is honest.
+    EXPECT_TRUE(b.stats.has("bulk.squash.unattributed"));
 }
 
 TEST(SystemIntegration, DeterministicAcrossRuns)

@@ -182,13 +182,5 @@ TEST(JsonHelpers, EscapeAndNumber)
     EXPECT_EQ(jsonNumber(-HUGE_VAL), "null");
 }
 
-TEST(GeoMean, MatchesClosedForm)
-{
-    EXPECT_DOUBLE_EQ(geoMean({}), 0.0);
-    EXPECT_DOUBLE_EQ(geoMean({4.0}), 4.0);
-    EXPECT_NEAR(geoMean({1.0, 4.0}), 2.0, 1e-12);
-    EXPECT_NEAR(geoMean({2.0, 2.0, 2.0}), 2.0, 1e-12);
-}
-
 } // namespace
 } // namespace bulksc

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the parameter-sweep runner: grid enumeration,
- * validation, per-point seed derivation, and the byte-identical
+ * validation, the settings-only seed policy, and the byte-identical
  * output guarantee across worker counts.
  */
 
@@ -85,16 +85,52 @@ TEST(SweepRunner, ValidateRejectsInvalidPoint)
     EXPECT_NE(err.find("point"), std::string::npos) << err;
 }
 
-TEST(SweepRunner, PointsGetDistinctStableSeeds)
+TEST(SweepRunner, ValidateRejectsRepeatedAxis)
 {
-    SweepRunner runner(tinyBase(), {{"chunk", {"100", "200"}}});
-    SimOptions p0, p1, p0again;
+    SweepRunner runner(tinyBase(), {{"app", {"barnes"}},
+                                    {"app", {"ocean"}}});
     std::string err;
-    ASSERT_TRUE(runner.pointOptions(0, p0, err)) << err;
-    ASSERT_TRUE(runner.pointOptions(1, p1, err)) << err;
-    ASSERT_TRUE(runner.pointOptions(0, p0again, err)) << err;
-    EXPECT_NE(p0.seedSalt, p1.seedSalt);
-    EXPECT_EQ(p0.seedSalt, p0again.seedSalt);
+    EXPECT_FALSE(runner.validateGrid(err));
+    EXPECT_NE(err.find("'app'"), std::string::npos) << err;
+}
+
+TEST(SweepRunner, PointInputsDependOnlyOnSettings)
+{
+    // The same settings at different indices and in different grids
+    // simulate the same traces with the same fault schedule.
+    SimOptions base = tinyBase();
+    base.seedSalt = 5;
+    base.cfg.faultSeed = 9;
+    SweepRunner a(base, {{"model", {"RC", "BSCdypvt"}}});
+    SweepRunner b(base, {{"model", {"BSCexact", "BSCdypvt", "RC"}}});
+    SimOptions a1, b1, b2;
+    std::string err;
+    ASSERT_TRUE(a.pointOptions(1, a1, err)) << err;
+    ASSERT_TRUE(b.pointOptions(1, b1, err)) << err;
+    ASSERT_TRUE(b.pointOptions(2, b2, err)) << err;
+    for (const SimOptions *o : {&a1, &b1, &b2}) {
+        EXPECT_EQ(o->seedSalt, 5u);
+        EXPECT_EQ(o->cfg.faultSeed, 9u);
+    }
+
+    // Byte-identical records, up to the leading point index.
+    auto body = [](SweepRunner &r) {
+        std::string out = runToString(r, 2);
+        std::vector<std::string> recs;
+        std::size_t pos = 0;
+        while (pos < out.size()) {
+            std::size_t nl = out.find('\n', pos);
+            std::string line = out.substr(pos, nl - pos);
+            recs.push_back(line.substr(line.find(", ")));
+            pos = nl + 1;
+        }
+        return recs;
+    };
+    std::vector<std::string> ra = body(a), rb = body(b);
+    ASSERT_EQ(ra.size(), 2u);
+    ASSERT_EQ(rb.size(), 3u);
+    EXPECT_EQ(ra[1], rb[1]); // BSCdypvt at index 1 in both grids
+    EXPECT_EQ(ra[0], rb[2]); // RC at index 0 and at index 2
 }
 
 TEST(SweepRunner, ExplicitSeedSaltAxisIsNotRederived)

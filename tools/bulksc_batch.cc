@@ -11,7 +11,7 @@
  *   --sweep NAME=V1,V2,...  add a sweep axis (repeatable; NAME is any
  *                           config option, e.g. chunk, procs, model,
  *                           sig-bits; the last axis varies fastest)
- *   -j, --jobs N            worker threads              (default 1)
+ *   -j, --jobs N            worker threads, N >= 1      (default 1)
  *   --out FILE              JSONL output path       (default stdout)
  *   --progress              report completed points on stderr
  *
@@ -26,9 +26,12 @@
  * "completed": false).
  */
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -69,22 +72,27 @@ parseAxis(const std::string &spec, SweepAxis &axis, std::string &err)
         err = "--sweep expects NAME=V1,V2,..., got '" + spec + "'";
         return false;
     }
+    // Empty values are dropped; SweepRunner::validateGrid rejects an
+    // axis left with none.
     axis.name = spec.substr(0, eq);
-    axis.values.clear();
-    std::size_t pos = eq + 1;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string v = spec.substr(pos, comma - pos);
+    std::istringstream values(spec.substr(eq + 1));
+    for (std::string v; std::getline(values, v, ',');) {
         if (!v.empty())
             axis.values.push_back(v);
-        pos = comma + 1;
     }
-    if (axis.values.empty()) {
-        err = "--sweep " + axis.name + ": no values";
+    return true;
+}
+
+/** Parse a worker count: a positive decimal integer, nothing else. */
+bool
+parseJobs(const char *s, unsigned &jobs)
+{
+    char *end = nullptr;
+    unsigned long v = std::strtoul(s, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*s)) || *end != '\0' ||
+        v == 0 || v > std::numeric_limits<unsigned>::max())
         return false;
-    }
+    jobs = static_cast<unsigned>(v);
     return true;
 }
 
@@ -115,18 +123,22 @@ main(int argc, char **argv)
                 return 1;
             }
             axes.push_back(std::move(axis));
-        } else if (!std::strcmp(a, "-j") || !std::strcmp(a, "--jobs")) {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0)
-                jobs = 1;
-        } else if (!std::strncmp(a, "-j", 2) && a[2] != '\0') {
-            jobs = static_cast<unsigned>(
-                std::strtoul(a + 2, nullptr, 10));
-            if (jobs == 0)
-                jobs = 1;
+        } else if (!std::strncmp(a, "-j", 2) ||
+                   !std::strcmp(a, "--jobs")) {
+            // -j N, --jobs N, or the attached form -jN.
+            const char *v = a[1] == 'j' && a[2] ? a + 2 : nullptr;
+            if (!v) {
+                if (i + 1 >= argc)
+                    usage(argv[0]);
+                v = argv[++i];
+            }
+            if (!parseJobs(v, jobs)) {
+                std::fprintf(stderr,
+                             "%s: -j/--jobs expects a positive "
+                             "integer, got '%s'\n",
+                             argv[0], v);
+                return 1;
+            }
         } else if (!std::strcmp(a, "--out")) {
             if (i + 1 >= argc)
                 usage(argv[0]);
