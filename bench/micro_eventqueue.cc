@@ -219,7 +219,6 @@ oneRep(const std::vector<std::uint32_t> &mix, std::uint64_t events,
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
     std::uint64_t events = 2'000'000;
     unsigned reps = 3;
     double min_ratio = 2.0;

@@ -45,7 +45,6 @@ countViolations(Model m, unsigned variants)
 int
 main()
 {
-    setQuiet(true);
     const unsigned variants = 10;
     const unsigned total = variants * 3;
 

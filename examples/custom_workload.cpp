@@ -21,8 +21,6 @@ using namespace bulksc;
 int
 main()
 {
-    setQuiet(true);
-
     // A custom application profile: see workload/app_profiles.hh for
     // every knob. Rates are per 1000 dynamic instructions.
     AppProfile app;

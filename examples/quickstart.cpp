@@ -20,8 +20,6 @@ using namespace bulksc;
 int
 main()
 {
-    setQuiet(true);
-
     const AppProfile &app = profileByName("ocean");
     const unsigned procs = 8;
     const std::uint64_t instrs = 60'000;

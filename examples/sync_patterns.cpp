@@ -179,7 +179,6 @@ forwardProgress()
 int
 main()
 {
-    setQuiet(true);
     contendedLocks();
     barriers();
     forwardProgress();

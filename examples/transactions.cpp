@@ -155,7 +155,6 @@ tornObservations(Model m)
 int
 main()
 {
-    setQuiet(true);
     std::printf("Transactional bank transfers: 3 writers x 30 "
                 "transactions, 1 observer x 60 polls\n\n");
     std::printf("%-10s %24s\n", "machine", "torn observations");

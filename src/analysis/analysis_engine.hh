@@ -92,6 +92,16 @@ class AnalysisEngine
             races_->chunkCommitted(now, p, seq, log);
     }
 
+    /** Point the checkers at the run's event sink (non-owning). */
+    void
+    setTrace(EventTrace *t)
+    {
+        if (graph_)
+            graph_->setTrace(t);
+        if (races_)
+            races_->setTrace(t);
+    }
+
     const AnalysisConfig &config() const { return cfg_; }
 
     /** Null unless the axiomatic check is enabled. */

@@ -51,6 +51,8 @@
 
 namespace bulksc {
 
+class EventTrace;
+
 class MemOrderGraph
 {
   public:
@@ -129,6 +131,9 @@ class MemOrderGraph
 
     static const char *edgeKindName(EdgeKind k);
 
+    /** Record violations into @p t (non-owning; null: none). */
+    void setTrace(EventTrace *t) { sink = t; }
+
   private:
     struct HistEntry
     {
@@ -144,6 +149,8 @@ class MemOrderGraph
 
     void addEdge(Tick now, NodeId u, NodeId v, EdgeKind kind,
                  Addr addr);
+
+    EventTrace *traceSink() const { return sink; }
 
     static std::uint64_t
     key(NodeId u, NodeId v)
@@ -170,6 +177,7 @@ class MemOrderGraph
     std::uint64_t nUnmatched = 0;
     unsigned violationCap;
     std::vector<Violation> viols;
+    EventTrace *sink = nullptr;
 };
 
 } // namespace bulksc

@@ -42,6 +42,8 @@
 
 namespace bulksc {
 
+class EventTrace;
+
 class RaceDetector
 {
   public:
@@ -91,6 +93,9 @@ class RaceDetector
 
     std::string describe(const Report &r) const;
 
+    /** Record races into @p t (non-owning; null: none). */
+    void setTrace(EventTrace *t) { sink = t; }
+
   private:
     /** Last access by each processor: clock component + chunk. */
     struct Epoch
@@ -110,6 +115,8 @@ class RaceDetector
     void check(Tick now, ProcId p, std::uint64_t seq,
                const LoggedAccess &a);
 
+    EventTrace *traceSink() const { return sink; }
+
     const unsigned np;
     const Addr syncLo, syncHi;
     const unsigned reportCap;
@@ -124,6 +131,7 @@ class RaceDetector
     std::uint64_t nChecked = 0;
     std::unordered_set<Addr> racyAddrSet;
     std::vector<Report> reps;
+    EventTrace *sink = nullptr;
 };
 
 } // namespace bulksc

@@ -19,6 +19,7 @@ configureExploration(SimOptions &opts, ExploreConfig &ec,
         return false;
 
     ec = ExploreConfig{};
+    static_cast<ExploreSettings &>(ec) = opts.explore;
     ec.machine = opts.cfg;
     if (opts.explore.delayChoices > 0) {
         // Turn every delivery latency into an explored choice by
@@ -39,18 +40,6 @@ configureExploration(SimOptions &opts, ExploreConfig &ec,
         ec.checkRace = opts.checks.race;
         ec.checkReplay = opts.checks.replay;
     }
-
-    ec.por = opts.explore.por;
-    ec.fpPrune = opts.explore.fpPrune;
-    ec.bfs = opts.explore.bfs;
-    ec.jobs = static_cast<unsigned>(opts.explore.jobs);
-    ec.maxSchedules = opts.explore.maxSchedules;
-    ec.maxDecisions =
-        static_cast<std::uint32_t>(opts.explore.maxDecisions);
-    ec.tickLimit = opts.explore.tickLimit;
-    ec.wallLimitMs = opts.explore.wallMs;
-    ec.stopAtFirst = opts.explore.stopAtFirst;
-    ec.minimize = opts.explore.minimize;
     return true;
 }
 
@@ -101,11 +90,7 @@ Explorer::minimizeCounterexample(const Schedule &full,
         ++r.minimizeRuns;
         if (out.verdict == target) {
             r.minimizedPrefixLen = len;
-            Schedule s;
-            s.choices.reserve(out.trace.size());
-            for (const DecisionRecord &d : out.trace)
-                s.choices.push_back(d.choice());
-            r.counterexample = std::move(s);
+            r.counterexample = scheduleOf(out.trace);
             return;
         }
     }
@@ -189,10 +174,7 @@ Explorer::explore()
                     r.found = true;
                     r.verdict = out.verdict;
                     r.detail = out.detail;
-                    Schedule full;
-                    full.choices.reserve(out.trace.size());
-                    for (const DecisionRecord &d : out.trace)
-                        full.choices.push_back(d.choice());
+                    Schedule full = scheduleOf(out.trace);
                     if (ecfg.minimize) {
                         minimizeCounterexample(full, out.verdict, r);
                     } else {

@@ -45,8 +45,9 @@
 
 namespace bulksc {
 
-/** Everything one exploration is configured by. */
-struct ExploreConfig
+/** Everything one exploration is configured by: the search settings
+ *  plus the machine, workload and checkers every schedule runs. */
+struct ExploreConfig : ExploreSettings
 {
     MachineConfig machine;
 
@@ -59,19 +60,6 @@ struct ExploreConfig
     bool checkAxiomatic = true;
     bool checkRace = false;
     bool checkReplay = false;
-
-    bool por = true;     //!< signature-based partial-order reduction
-    bool fpPrune = true; //!< fingerprint revisit pruning
-    bool bfs = false;    //!< breadth-first instead of depth-first
-    unsigned jobs = 1;   //!< parallel wave width
-
-    std::uint64_t maxSchedules = 1000; //!< schedule budget
-    std::uint32_t maxDecisions = 64;   //!< branching depth cap
-    Tick tickLimit = 5'000'000;        //!< per-run tick budget
-    std::uint64_t wallLimitMs = 0;     //!< wall-clock budget (0 = off)
-
-    bool stopAtFirst = true; //!< stop at the first violation
-    bool minimize = true;    //!< minimize the counterexample
 };
 
 /**

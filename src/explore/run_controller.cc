@@ -174,11 +174,11 @@ RunController::chooseDelay(Tick now, int cls, Tick lo, Tick hi)
 }
 
 Schedule
-RunController::recorded() const
+scheduleOf(const std::vector<DecisionRecord> &trace)
 {
     Schedule s;
-    s.choices.reserve(trace_.size());
-    for (const DecisionRecord &r : trace_)
+    s.choices.reserve(trace.size());
+    for (const DecisionRecord &r : trace)
         s.choices.push_back(r.choice());
     return s;
 }

@@ -63,6 +63,9 @@ struct DecisionRecord
     }
 };
 
+/** The replayable schedule of a recorded decision trace. */
+Schedule scheduleOf(const std::vector<DecisionRecord> &trace);
+
 /** Records and replays one run's choices. */
 class RunController : public ScheduleController
 {
@@ -89,9 +92,6 @@ class RunController : public ScheduleController
 
     /** Every decision made so far, in order. */
     const std::vector<DecisionRecord> &trace() const { return trace_; }
-
-    /** The trace as a replayable schedule. */
-    Schedule recorded() const;
 
     /** Forced choices that did not match the live decision shape
      *  (kind or domain size); 0 when replaying a recorded trace. */

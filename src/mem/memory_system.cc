@@ -154,10 +154,7 @@ MemorySystem::sendInval(ProcId target, LineAddr line)
                  LineState prev = l1s[target].array.invalidate(line);
                  if (prev == LineState::Dirty) {
                      // Dirty data travels with the acknowledgement.
-                     std::optional<Victim> vic;
-                     l2.insert(line, LineState::Dirty, nullptr, vic);
-                     if (vic && vic->dirty)
-                         ++nWritebacks;
+                     l2Insert(line, LineState::Dirty);
                  }
                  if (prev != LineState::Invalid &&
                      l1s[target].listener) {
@@ -236,10 +233,7 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
                 lat = prm.l2Latency;
             } else {
                 lat = prm.memLatency;
-                std::optional<Victim> vic;
-                l2.insert(line, LineState::Shared, nullptr, vic);
-                if (vic && vic->dirty)
-                    ++nWritebacks;
+                l2Insert(line, LineState::Shared);
             }
         }
         if (to_inval) {
@@ -255,10 +249,7 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
             CacheLine *oe = l1s[owner].array.lookup(line);
             if (oe && oe->state == LineState::Dirty)
                 oe->state = LineState::Shared;
-            std::optional<Victim> vic;
-            l2.insert(line, LineState::Dirty, nullptr, vic);
-            if (vic && vic->dirty)
-                ++nWritebacks;
+            l2Insert(line, LineState::Dirty);
             dir.recordWriteback(line, owner);
             net.send(owner, prm.numProcs + d, TrafficClass::DataRdWr,
                      256, [] {}, lineFp(line));
@@ -269,10 +260,7 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
                 lat = prm.l2Latency;
             } else {
                 lat = prm.memLatency;
-                std::optional<Victim> vic;
-                l2.insert(line, LineState::Shared, nullptr, vic);
-                if (vic && vic->dirty)
-                    ++nWritebacks;
+                l2Insert(line, LineState::Shared);
             }
         }
     }
@@ -322,10 +310,7 @@ MemorySystem::finishFill(ProcId p, LineAddr line, MemCmd cmd)
             net.send(p, prm.numProcs + dirOf(vic->line),
                      TrafficClass::DataRdWr, 256, [] {},
                      lineFp(vic->line));
-            std::optional<Victim> l2vic;
-            l2.insert(vic->line, LineState::Dirty, nullptr, l2vic);
-            if (l2vic && l2vic->dirty)
-                ++nWritebacks;
+            l2Insert(vic->line, LineState::Dirty);
             dirs[dirOf(vic->line)]->recordWriteback(vic->line, p);
             dirs[dirOf(vic->line)]->dropSharer(vic->line, p);
         }
@@ -387,7 +372,7 @@ MemorySystem::handleDirDisplacements(
                                      1);
                          if (l1s[q].listener)
                              l1s[q].listener->onRemoteWSig(*sig);
-                         applyBulkInval(q, *sig, false);
+                         applyBulkInval(q, *sig, nullptr);
                      },
                      wsigFp(sig));
         }
@@ -395,10 +380,19 @@ MemorySystem::handleDirDisplacements(
 }
 
 void
+MemorySystem::l2Insert(LineAddr line, LineState st)
+{
+    std::optional<Victim> vic;
+    l2.insert(line, st, nullptr, vic);
+    if (vic && vic->dirty)
+        ++nWritebacks;
+}
+
+void
 MemorySystem::applyBulkInval(ProcId p, const Signature &w,
-                             bool spec_discard,
                              const std::unordered_set<LineAddr> *spec_lines)
 {
+    const bool spec_discard = spec_lines != nullptr;
     L1 &c = l1s[p];
     const std::uint64_t num_sets = c.array.geometry().numSets();
 
@@ -440,9 +434,7 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
         // Squash discard: the chunk's truly written lines (its
         // per-line chunk-id bits) drop without writeback; aliased
         // victims hold committed data that must stay safe.
-        bool spec_data =
-            spec_discard && (spec_lines ? spec_lines->count(line) != 0
-                                        : w.containsExact(line));
+        bool spec_data = spec_discard && spec_lines->count(line) != 0;
         const CacheLine *e = c.array.peek(line);
         if (e && e->state == LineState::Dirty && !spec_data) {
             // Committed dirty data hit by (aliased) bulk invalidation:
@@ -450,10 +442,7 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
             ++nWritebacks;
             net.send(p, prm.numProcs + dirOf(line),
                      TrafficClass::DataRdWr, 256, [] {}, lineFp(line));
-            std::optional<Victim> vic;
-            l2.insert(line, LineState::Dirty, nullptr, vic);
-            if (vic && vic->dirty)
-                ++nWritebacks;
+            l2Insert(line, LineState::Dirty);
             dirs[dirOf(line)]->recordWriteback(line, p);
         }
         c.array.invalidate(line);
@@ -463,9 +452,9 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
 
 void
 MemorySystem::bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
+                         const std::unordered_set<LineAddr> &w_lines,
                          std::function<void()> done,
-                         unsigned *inval_nodes_out,
-                         const std::unordered_set<LineAddr> *w_lines)
+                         unsigned *inval_nodes_out)
 {
     if (w->empty()) {
         done();
@@ -478,11 +467,8 @@ MemorySystem::bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
     if (dirs.size() == 1) {
         involved.push_back(0);
     } else {
-        panic_if(!w_lines && !w->tracksExact(),
-                 "multi-directory commit needs the chunk's written "
-                 "lines or an exact-tracking signature");
         std::vector<bool> mark(dirs.size(), false);
-        for (LineAddr l : w_lines ? *w_lines : w->exactLines()) {
+        for (LineAddr l : w_lines) {
             unsigned d = dirOf(l);
             if (!mark[d]) {
                 mark[d] = true;
@@ -628,7 +614,7 @@ MemorySystem::dirHandleCommit(unsigned dir_idx, ProcId committer,
                                      dir_idx, 0);
                          if (l1s[q].listener)
                              l1s[q].listener->onRemoteWSig(*txn->w);
-                         applyBulkInval(q, *txn->w, false);
+                         applyBulkInval(q, *txn->w, nullptr);
                          net.send(q, prm.numProcs + dir_idx,
                                   TrafficClass::Inval, 16,
                                   [txn] {
@@ -648,10 +634,7 @@ MemorySystem::writebackLine(ProcId p, LineAddr line)
     ++nWritebacks;
     net.send(p, prm.numProcs + dirOf(line), TrafficClass::DataRdWr, 256,
              [] {}, lineFp(line));
-    std::optional<Victim> vic;
-    l2.insert(line, LineState::Dirty, nullptr, vic);
-    if (vic && vic->dirty)
-        ++nWritebacks;
+    l2Insert(line, LineState::Dirty);
     dirs[dirOf(line)]->recordWriteback(line, p);
 }
 
@@ -683,9 +666,9 @@ MemorySystem::l1State(ProcId p, LineAddr line) const
 void
 MemorySystem::l1DiscardSpeculative(
     ProcId p, const Signature &w,
-    const std::unordered_set<LineAddr> *spec_lines)
+    const std::unordered_set<LineAddr> &spec_lines)
 {
-    applyBulkInval(p, w, true, spec_lines);
+    applyBulkInval(p, w, &spec_lines);
 }
 
 void
@@ -696,18 +679,12 @@ MemorySystem::restoreLine(ProcId p, LineAddr line)
         l1s[p].array.insert(line, LineState::Dirty, filterFor(p), vic);
     if (!ins) {
         // No insertable way: keep the restored data safe in the L2.
-        std::optional<Victim> l2vic;
-        l2.insert(line, LineState::Dirty, nullptr, l2vic);
-        if (l2vic && l2vic->dirty)
-            ++nWritebacks;
+        l2Insert(line, LineState::Dirty);
         return;
     }
     if (vic && vic->dirty) {
         ++nWritebacks;
-        std::optional<Victim> l2vic;
-        l2.insert(vic->line, LineState::Dirty, nullptr, l2vic);
-        if (l2vic && l2vic->dirty)
-            ++nWritebacks;
+        l2Insert(vic->line, LineState::Dirty);
         dirs[dirOf(vic->line)]->recordWriteback(vic->line, p);
     }
 }

@@ -171,18 +171,16 @@ class MemorySystem : public SimObject
      * its acknowledgements (the arbiter may then drop W).
      *
      * @param w Shared so in-flight commits keep it alive.
-     * @param inval_nodes_out If non-null, receives the total number of
-     *        processors that were sent W (Table 4 "Nodes per W Sig").
      * @param w_lines The chunk's exact written lines (Chunk::wLines),
      *        used to pick the involved directory modules. Only read
-     *        synchronously, so a stack-local set is fine. When null,
-     *        falls back to the signature's exact mirror (tests), which
-     *        multi-directory configs then require.
+     *        synchronously, so a stack-local set is fine.
+     * @param inval_nodes_out If non-null, receives the total number of
+     *        processors that were sent W (Table 4 "Nodes per W Sig").
      */
     void bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
+                    const std::unordered_set<LineAddr> &w_lines,
                     std::function<void()> done,
-                    unsigned *inval_nodes_out = nullptr,
-                    const std::unordered_set<LineAddr> *w_lines = nullptr);
+                    unsigned *inval_nodes_out = nullptr);
 
     /**
      * Discard @p p's speculatively written lines (all lines of its L1
@@ -191,11 +189,9 @@ class MemorySystem : public SimObject
      * @param spec_lines The chunk's truly written lines (the per-line
      *        chunk-id bits): members are dropped without writeback,
      *        aliased victims keep their committed data safe in the L2.
-     *        When null, falls back to @p w's exact mirror.
      */
-    void l1DiscardSpeculative(
-        ProcId p, const Signature &w,
-        const std::unordered_set<LineAddr> *spec_lines = nullptr);
+    void l1DiscardSpeculative(ProcId p, const Signature &w,
+                              const std::unordered_set<LineAddr> &spec_lines);
 
     /** Re-insert @p line as dirty in @p p's L1 (Private Buffer restore). */
     void restoreLine(ProcId p, LineAddr line);
@@ -249,13 +245,8 @@ class MemorySystem : public SimObject
     std::uint64_t l1Hits() const;
     std::uint64_t l1Misses() const;
     std::uint64_t bouncedReads() const { return nBounced; }
-    std::uint64_t extraInvalidations() const { return nExtraInvals; }
     std::uint64_t invalidations() const { return nInvals; }
     std::uint64_t writebacks() const { return nWritebacks; }
-    std::uint64_t dirLookups() const { return nDirLookups; }
-    std::uint64_t dirAliasLookups() const { return nDirAliasLookups; }
-    std::uint64_t dirUpdates() const { return nDirUpdates; }
-    std::uint64_t dirAliasUpdates() const { return nDirAliasUpdates; }
     std::uint64_t dirDisplacements() const { return nDirDisplacements; }
     std::uint64_t fillBypasses() const { return nFillBypasses; }
 
@@ -302,9 +293,16 @@ class MemorySystem : public SimObject
                           unsigned bounces = 0);
     void finishFill(ProcId p, LineAddr line, MemCmd cmd);
     void sendInval(ProcId target, LineAddr line);
-    void applyBulkInval(ProcId p, const Signature &w, bool discard_only,
-                        const std::unordered_set<LineAddr> *spec_lines =
-                            nullptr);
+
+    /** Bulk-invalidate @p p's members of @p w. @p spec_lines is
+     *  non-null for a squash discard: the chunk's own written lines,
+     *  dropped without writeback. */
+    void applyBulkInval(ProcId p, const Signature &w,
+                        const std::unordered_set<LineAddr> *spec_lines);
+
+    /** Insert @p line into the L2 in state @p st, counting a dirty L2
+     *  victim as a writeback to memory. */
+    void l2Insert(LineAddr line, LineState st);
     void handleDirDisplacements(
         unsigned dir_idx, const std::vector<DirDisplacement> &disp);
     void dirHandleCommit(unsigned dir_idx, ProcId committer,

@@ -36,6 +36,7 @@
 
 namespace bulksc {
 
+class EventTrace;
 class ScheduleController;
 
 /**
@@ -128,6 +129,13 @@ class EventQueue
 
     /** The attached controller, or nullptr. */
     ScheduleController *controller() const { return ctrl; }
+
+    /** Point the SimObjects on this queue at their run's event sink
+     *  (non-owning; nullptr records nothing). */
+    void setTrace(EventTrace *t) { sink = t; }
+
+    /** The run's event sink, or nullptr. */
+    EventTrace *trace() const { return sink; }
 
     /** @return true if no events remain. */
     bool
@@ -294,11 +302,14 @@ class EventQueue
     std::vector<std::uint32_t> ctrlOrder;
     std::vector<Callback> ctrlScratch;
     std::vector<std::uint32_t> ctrlTagScratch;
+
+    EventTrace *sink = nullptr;
 };
 
 /**
  * Base class for named simulation components. Provides access to the
- * shared event queue and a hierarchical name used in stats and logging.
+ * shared event queue, the run's event sink, and a hierarchical name
+ * used in stats.
  */
 class SimObject
 {
@@ -314,6 +325,9 @@ class SimObject
     Tick curTick() const { return eventq.now(); }
 
   protected:
+    /** The sink EVENT_TRACE records into (null when not tracing). */
+    EventTrace *traceSink() const { return eventq.trace(); }
+
     EventQueue &eventq;
 
   private:

@@ -12,10 +12,6 @@
 
 namespace bulksc {
 
-namespace detail {
-bool eventTraceOn = false;
-} // namespace detail
-
 const char *
 traceEventTypeName(TraceEventType t)
 {
@@ -212,39 +208,10 @@ trackName(std::uint16_t track)
     return "arbiter" + std::to_string(track - kTrackArbBase);
 }
 
-EventTrace &
-EventTrace::instance()
+EventTrace::EventTrace(std::uint32_t cat_mask, std::size_t capacity)
+    : catMask(cat_mask), cap(capacity ? capacity : 1)
 {
-    static EventTrace et;
-    return et;
-}
-
-void
-EventTrace::enable(std::uint32_t cat_mask, std::size_t capacity)
-{
-    clear();
-    catMask = cat_mask;
-    cap = capacity ? capacity : 1;
-    ring.clear();
     ring.reserve(cap < 4096 ? cap : 4096);
-    detail::eventTraceOn = true;
-}
-
-void
-EventTrace::disable()
-{
-    detail::eventTraceOn = false;
-}
-
-void
-EventTrace::clear()
-{
-    ring.clear();
-    ring.shrink_to_fit();
-    head = 0;
-    total = 0;
-    nDropped = 0;
-    counts.fill(0);
 }
 
 void

@@ -12,10 +12,13 @@
  * chrome://tracing or https://ui.perfetto.dev, or rendered as one text
  * line per event for humans.
  *
- * Recording is globally gated: when disabled (the default), every
- * instrumentation site costs a single predicted branch. When enabled,
- * events are additionally filtered by the TraceCat category mask, so
- * `--trace-cats squash,commit` records only those event families.
+ * A sink belongs to one run: System::enableTrace() creates it and
+ * hands every component a non-owning pointer (SimObjects through
+ * their EventQueue, the checkers through the AnalysisEngine). Without
+ * a sink every instrumentation site costs a single predicted branch
+ * on that null pointer. A sink filters events by its TraceCat
+ * category mask, so `--trace-cats squash,commit` records only those
+ * event families. Two runs on two threads trace independently.
  *
  * Per-type totals are counted independently of the ring (the ring
  * keeps the most recent `capacity` events; the counters never drop),
@@ -147,29 +150,18 @@ trackArb(unsigned a)
 /** Human-readable track name ("cpu3", "dir0", "arbiter0"). */
 std::string trackName(std::uint16_t track);
 
-/**
- * The process-global event sink. Enable it before building a System;
- * every instrumented component records through the singleton.
- */
+/** One run's event sink (see System::enableTrace()). */
 class EventTrace
 {
   public:
     static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
-    static EventTrace &instance();
-
     /**
-     * Start recording events whose family is in @p cat_mask, keeping
-     * the most recent @p capacity events. Clears previous contents.
+     * A sink recording events whose family is in @p cat_mask, keeping
+     * the most recent @p capacity events.
      */
-    void enable(std::uint32_t cat_mask,
-                std::size_t capacity = kDefaultCapacity);
-
-    /** Stop recording (contents stay available for export). */
-    void disable();
-
-    /** Drop all recorded events and counters. */
-    void clear();
+    explicit EventTrace(std::uint32_t cat_mask,
+                        std::size_t capacity = kDefaultCapacity);
 
     /** Record one event (called through the EVENT_TRACE macro). */
     void record(TraceEventType type, Tick tick, std::uint16_t track,
@@ -211,8 +203,6 @@ class EventTrace
     void writeText(std::ostream &os) const;
 
   private:
-    EventTrace() = default;
-
     std::uint32_t catMask = 0;
     std::vector<TraceEvent> ring;
     std::size_t cap = 0;
@@ -224,29 +214,19 @@ class EventTrace
         counts{};
 };
 
-namespace detail {
-/** Fast global gate, mirrored by EventTrace::enable()/disable(). */
-extern bool eventTraceOn;
-} // namespace detail
-
-/** True iff the event sink is recording. */
-inline bool
-eventTraceEnabled()
-{
-    return detail::eventTraceOn;
-}
-
 /**
- * Record an event if tracing is enabled: a single predicted branch
- * when disabled. Usage:
+ * Record an event into the sink `traceSink()` names at the call site
+ * (SimObject::traceSink(), or the checkers' own): a single predicted
+ * branch when that is null. Usage:
  *   EVENT_TRACE(TraceEventType::ChunkStart, curTick(), trackProc(pid),
  *               seq, target);
  */
 #define EVENT_TRACE(type, tick, track, ...)                             \
     do {                                                                \
-        if (::bulksc::eventTraceEnabled()) {                            \
-            ::bulksc::EventTrace::instance().record(                    \
-                type, tick, track __VA_OPT__(, ) __VA_ARGS__);          \
+        if (::bulksc::EventTrace *bulksc_sink_ = traceSink())           \
+            [[unlikely]] {                                              \
+            bulksc_sink_->record(type, tick,                            \
+                                 track __VA_OPT__(, ) __VA_ARGS__);     \
         }                                                               \
     } while (0)
 

@@ -22,7 +22,8 @@
  * counter) through the splitmix64 finalizer, so a given configuration
  * produces the same fault schedule on every run — including across
  * bulksc_batch worker counts, because each sweep point owns its plane
- * and derives its seed from the point index.
+ * and takes its seed from its settings (the base or swept
+ * fault-seed), never from its index in the grid.
  *
  * The plane only *decides*; the protocol layers (network, arbiters,
  * directory commit service) own the mechanics of dropping, duplicating

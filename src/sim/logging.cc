@@ -2,25 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace bulksc {
-
-namespace {
-bool quietMode = false;
-}
-
-void
-setQuiet(bool quiet)
-{
-    quietMode = quiet;
-}
-
-bool
-isQuiet()
-{
-    return quietMode;
-}
 
 namespace detail {
 
@@ -38,20 +21,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
     std::fprintf(stderr, "fatal: %s\n  @ %s:%d\n", msg.c_str(), file, line);
     std::fflush(stderr);
     std::exit(1);
-}
-
-void
-warnImpl(const std::string &msg)
-{
-    if (!quietMode)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (!quietMode)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -1,13 +1,15 @@
 /**
  * @file
- * Status and error reporting helpers in the gem5 tradition.
+ * Error reporting helpers in the gem5 tradition.
  *
  * panic()  — an internal simulator invariant was violated (a bug in the
  *            simulator itself); aborts so a debugger/core dump can be used.
  * fatal()  — the simulation cannot continue because of a user error (bad
  *            configuration, invalid arguments); exits with status 1.
- * warn()   — something is suspect but the simulation can continue.
- * inform() — plain status output.
+ *
+ * Recoverable failures are not logged: library calls return them to
+ * the caller (an error string, Results::completed), and the drivers
+ * decide what to print.
  */
 
 #ifndef BULKSC_SIM_LOGGING_HH
@@ -24,8 +26,6 @@ namespace detail {
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Build a message from a stream-style expression. */
 template <typename... Args>
@@ -41,12 +41,6 @@ format(Args &&...args)
 
 } // namespace detail
 
-/** Suppress warn()/inform() output (used by tests and benches). */
-void setQuiet(bool quiet);
-
-/** @return true if warn()/inform() output is suppressed. */
-bool isQuiet();
-
 #define panic(...)                                                        \
     ::bulksc::detail::panicImpl(__FILE__, __LINE__,                       \
                                 ::bulksc::detail::format(__VA_ARGS__))
@@ -54,12 +48,6 @@ bool isQuiet();
 #define fatal(...)                                                        \
     ::bulksc::detail::fatalImpl(__FILE__, __LINE__,                       \
                                 ::bulksc::detail::format(__VA_ARGS__))
-
-#define warn(...)                                                         \
-    ::bulksc::detail::warnImpl(::bulksc::detail::format(__VA_ARGS__))
-
-#define inform(...)                                                       \
-    ::bulksc::detail::informImpl(::bulksc::detail::format(__VA_ARGS__))
 
 /** panic() unless the given condition holds. */
 #define panic_if(cond, ...)                                               \

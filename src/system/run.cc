@@ -67,9 +67,13 @@ resolveWorkload(SimOptions &opts, ResolvedWorkload &out,
         out.litmusName = std::move(lt.name);
         out.allowedSC = std::move(lt.allowedSC);
     } else if (!opts.loadTraces.empty()) {
-        out.traces = loadTraces(opts.loadTraces);
+        std::string why;
+        if (!loadTraces(opts.loadTraces, out.traces, why)) {
+            err = "cannot load trace bundle: " + why;
+            return false;
+        }
         if (out.traces.empty()) {
-            err = "cannot load trace bundle '" + opts.loadTraces + "'";
+            err = "trace bundle '" + opts.loadTraces + "' holds no traces";
             return false;
         }
         out.name = opts.app;

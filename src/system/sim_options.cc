@@ -473,13 +473,6 @@ OptionRegistry::OptionRegistry()
         },
         [](const SimOptions &o) { return o.checks.str(); });
 
-    b.flag("verify", "alias for --check replay", kSim, false,
-           [](SimOptions &o, bool v) {
-               if (v)
-                   o.checks.replay = true;
-           },
-           [](const SimOptions &o) { return o.checks.replay; });
-
     b.str("save-traces", "FILE",
           "write the generated trace bundle to FILE", kSim, false,
           &SimOptions::saveTraces);
@@ -565,9 +558,9 @@ OptionRegistry::OptionRegistry()
               "wall-clock budget in milliseconds (0 = unlimited)",
               kExplore, true,
               [](SimOptions &o, std::uint64_t v) {
-                  o.explore.wallMs = v;
+                  o.explore.wallLimitMs = v;
               },
-              [](const SimOptions &o) { return o.explore.wallMs; });
+              [](const SimOptions &o) { return o.explore.wallLimitMs; });
 
     b.uintSet("explore-jobs", "N",
               "run up to N schedules concurrently (enumeration order "

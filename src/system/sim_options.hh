@@ -29,7 +29,7 @@
 
 namespace bulksc {
 
-/** Correctness checkers selected with --check (and --verify). */
+/** Correctness checkers selected with --check. */
 struct CheckSet
 {
     bool axiomatic = false; //!< SC as acyclicity of po∪rf∪co∪fr
@@ -40,6 +40,22 @@ struct CheckSet
 
     /** Canonical comma-separated form ("" when none). */
     std::string str() const;
+};
+
+/** The schedule-search settings of one exploration: SimOptions binds
+ *  the --explore-* options into them and ExploreConfig inherits them. */
+struct ExploreSettings
+{
+    std::uint64_t maxSchedules = 1000;   //!< schedule budget
+    std::uint64_t maxDecisions = 64;     //!< branching depth cap
+    std::uint64_t tickLimit = 5'000'000; //!< per-run tick budget
+    std::uint64_t wallLimitMs = 0;       //!< wall-clock budget (0 = off)
+    std::uint64_t jobs = 1;              //!< parallel wave width
+    bool por = true;         //!< signature-based partial-order reduction
+    bool fpPrune = true;     //!< fingerprint revisit pruning
+    bool bfs = false;        //!< breadth-first instead of depth-first
+    bool stopAtFirst = true; //!< stop at the first violation
+    bool minimize = true;    //!< minimize the counterexample
 };
 
 /**
@@ -74,22 +90,13 @@ struct SimOptions
 
     bool dumpConfig = false; //!< print effective config JSON and exit
 
-    /** bulksc_explore driver settings (OptionGroup::Explore). */
-    struct ExploreOpts
+    /** bulksc_explore settings (OptionGroup::Explore): the search
+     *  settings plus the driver's own. */
+    struct ExploreOpts : ExploreSettings
     {
-        std::uint64_t maxSchedules = 1000; //!< schedule budget
-        std::uint64_t maxDecisions = 64;   //!< branching depth cap
-        std::uint64_t tickLimit = 5'000'000; //!< per-run tick budget
-        std::uint64_t wallMs = 0;  //!< wall-clock budget (0 = off)
-        std::uint64_t jobs = 1;    //!< parallel wave width
         /** Install a net.delay=0:N window on every message, turning
          *  each delivery latency into an explored choice (0 = off). */
         std::uint64_t delayChoices = 0;
-        bool por = true;     //!< signature-based POR
-        bool fpPrune = true; //!< fingerprint revisit pruning
-        bool bfs = false;    //!< breadth-first search order
-        bool stopAtFirst = true; //!< stop at the first violation
-        bool minimize = true;    //!< minimize the counterexample
         std::string schedule;    //!< replay this schedule file only
         std::string scheduleOut; //!< write the counterexample here
         std::string resultsOut;  //!< per-schedule JSONL stream

@@ -6,9 +6,7 @@
  *
  * Isolation is structural: a point's System owns its EventQueue,
  * MemorySystem, processors, and statistics, so workers share nothing
- * but the read-only option registry and workload profiles. The global
- * EventTrace stays disabled — tracing a batch run is meaningless and
- * its ring buffer is not thread-safe.
+ * but the read-only option registry and workload profiles.
  *
  * Determinism: a point's inputs are a function of its settings alone.
  * It simulates with the base (or swept) seed-salt and fault-seed, so

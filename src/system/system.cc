@@ -122,10 +122,20 @@ System::enableAnalysis(bool axiomatic, bool race, bool replay)
     acfg.syncLo = layout::kLockBase;
     acfg.syncHi = layout::kStreamBase;
     engine = std::make_unique<AnalysisEngine>(acfg);
+    engine->setTrace(sink.get());
     for (auto &p : procs) {
         if (auto *bp = dynamic_cast<BulkProcessor *>(p.get()))
             bp->setAnalysis(engine.get());
     }
+}
+
+void
+System::enableTrace(std::uint32_t cat_mask, std::size_t capacity)
+{
+    sink = std::make_unique<EventTrace>(cat_mask, capacity);
+    eq.setTrace(sink.get());
+    if (engine)
+        engine->setTrace(sink.get());
 }
 
 void
@@ -206,12 +216,8 @@ System::run(Tick limit)
         res.watchdogVerdict = dog->verdict();
         res.watchdogReport = dog->report();
     }
-    if (!res.completed) {
-        if (res.watchdogVerdict == WatchdogVerdict::None)
-            warn("run hit the tick limit before all processors "
-                 "finished");
+    if (!res.completed)
         res.execTime = eq.now();
-    }
     for (auto &p : procs)
         res.loadResults.push_back(p->loadResults());
     collectStats(res);

@@ -28,6 +28,7 @@
 #include "mem/memory_system.hh"
 #include "network/network.hh"
 #include "sim/event_queue.hh"
+#include "sim/event_trace.hh"
 #include "sim/fault_plane.hh"
 #include "sim/stats.hh"
 #include "system/machine_config.hh"
@@ -95,6 +96,18 @@ class System
     const AnalysisEngine *analysis() const { return engine.get(); }
 
     /**
+     * Record this run's chunk-lifecycle events (families in
+     * @p cat_mask, the most recent @p capacity of them) into a sink
+     * the System owns. Call before run(); a second call starts a
+     * fresh sink.
+     */
+    void enableTrace(std::uint32_t cat_mask,
+                     std::size_t capacity = EventTrace::kDefaultCapacity);
+
+    /** The run's event sink, or nullptr when tracing is off. */
+    const EventTrace *trace() const { return sink.get(); }
+
+    /**
      * Attach a schedule controller (exploration mode): the event
      * queue consults it for same-tick delivery ordering and the
      * network for message-delay choices. Call before run(), with the
@@ -128,6 +141,8 @@ class System
     MachineConfig cfg;
     std::vector<Trace> traces;
 
+    /** Declared before everything that records into it. */
+    std::unique_ptr<EventTrace> sink;
     EventQueue eq;
     FaultPlane faults;
     std::unique_ptr<Network> net;

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <memory>
 
-#include "sim/logging.hh"
-
 namespace bulksc {
 
 namespace {
@@ -37,27 +35,34 @@ struct FileCloser
     }
 };
 
+/** Set @p err to "<what> '<path>'" and fail. */
+bool
+fail(std::string &err, const char *what, const std::string &path)
+{
+    err = std::string(what) + " '" + path + "'";
+    return false;
+}
+
 } // namespace
 
 bool
-saveTraces(const std::string &path, const std::vector<Trace> &traces)
+saveTraces(const std::string &path, const std::vector<Trace> &traces,
+           std::string &err)
 {
     std::unique_ptr<std::FILE, FileCloser> f(
         std::fopen(path.c_str(), "wb"));
-    if (!f) {
-        warn("saveTraces: cannot open ", path);
-        return false;
-    }
+    if (!f)
+        return fail(err, "cannot open", path);
     std::uint32_t n = static_cast<std::uint32_t>(traces.size());
     if (std::fwrite(kMagic, 1, 4, f.get()) != 4 ||
         std::fwrite(&kVersion, sizeof kVersion, 1, f.get()) != 1 ||
         std::fwrite(&n, sizeof n, 1, f.get()) != 1) {
-        return false;
+        return fail(err, "cannot write", path);
     }
     for (const Trace &t : traces) {
         std::uint64_t ops = t.ops.size();
         if (std::fwrite(&ops, sizeof ops, 1, f.get()) != 1)
-            return false;
+            return fail(err, "cannot write", path);
         for (const Op &op : t.ops) {
             DiskOp d{};
             d.addr = op.addr;
@@ -68,53 +73,48 @@ saveTraces(const std::string &path, const std::vector<Trace> &traces)
             d.stackRef = op.stackRef ? 1 : 0;
             d.tracked = op.tracked ? 1 : 0;
             if (std::fwrite(&d, sizeof d, 1, f.get()) != 1)
-                return false;
+                return fail(err, "cannot write", path);
         }
     }
+    if (std::fclose(f.release()) != 0)
+        return fail(err, "cannot write", path);
     return true;
 }
 
-std::vector<Trace>
-loadTraces(const std::string &path)
+bool
+loadTraces(const std::string &path, std::vector<Trace> &out,
+           std::string &err)
 {
+    out.clear();
     std::unique_ptr<std::FILE, FileCloser> f(
         std::fopen(path.c_str(), "rb"));
-    if (!f) {
-        warn("loadTraces: cannot open ", path);
-        return {};
-    }
+    if (!f)
+        return fail(err, "cannot open", path);
     char magic[4];
     std::uint32_t version = 0, n = 0;
     if (std::fread(magic, 1, 4, f.get()) != 4 ||
         std::memcmp(magic, kMagic, 4) != 0) {
-        warn("loadTraces: ", path, " is not a trace bundle");
-        return {};
+        return fail(err, "not a trace bundle", path);
     }
     if (std::fread(&version, sizeof version, 1, f.get()) != 1 ||
         version != kVersion) {
-        warn("loadTraces: unsupported version in ", path);
-        return {};
+        return fail(err, "unsupported version in", path);
     }
-    if (std::fread(&n, sizeof n, 1, f.get()) != 1 || n > 1024) {
-        warn("loadTraces: bad trace count in ", path);
-        return {};
-    }
+    if (std::fread(&n, sizeof n, 1, f.get()) != 1 || n > 1024)
+        return fail(err, "bad trace count in", path);
 
     std::vector<Trace> traces(n);
     for (Trace &t : traces) {
         std::uint64_t ops = 0;
         if (std::fread(&ops, sizeof ops, 1, f.get()) != 1 ||
             ops > (std::uint64_t{1} << 32)) {
-            warn("loadTraces: bad op count in ", path);
-            return {};
+            return fail(err, "bad op count in", path);
         }
         t.ops.resize(ops);
         for (Op &op : t.ops) {
             DiskOp d;
-            if (std::fread(&d, sizeof d, 1, f.get()) != 1) {
-                warn("loadTraces: truncated bundle ", path);
-                return {};
-            }
+            if (std::fread(&d, sizeof d, 1, f.get()) != 1)
+                return fail(err, "truncated bundle", path);
             op.addr = d.addr;
             op.storeValue = d.storeValue;
             op.gap = d.gap;
@@ -125,7 +125,8 @@ loadTraces(const std::string &path)
         }
         t.finalize();
     }
-    return traces;
+    out = std::move(traces);
+    return true;
 }
 
 } // namespace bulksc

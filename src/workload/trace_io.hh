@@ -24,17 +24,19 @@
 
 namespace bulksc {
 
-/** Write a trace bundle to @p path. @return false on I/O failure. */
-bool saveTraces(const std::string &path,
-                const std::vector<Trace> &traces);
+/** Write a trace bundle to @p path. False with @p err naming the
+ *  path and the reason on I/O failure. */
+bool saveTraces(const std::string &path, const std::vector<Trace> &traces,
+                std::string &err);
 
 /**
- * Load a trace bundle written by saveTraces(). Traces come back
- * finalized.
- *
- * @return the traces; empty on I/O or format failure (and warns).
+ * Load a trace bundle written by saveTraces() into @p out. Traces
+ * come back finalized. False with @p err naming the path and the
+ * reason (cannot open, not a trace bundle, unsupported version, bad
+ * trace or op count, truncated) on I/O or format failure.
  */
-std::vector<Trace> loadTraces(const std::string &path);
+bool loadTraces(const std::string &path, std::vector<Trace> &out,
+                std::string &err);
 
 } // namespace bulksc
 

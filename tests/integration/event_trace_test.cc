@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 #include "sim/event_trace.hh"
 #include "sim/fault_plane.hh"
@@ -20,25 +21,32 @@
 namespace bulksc {
 namespace {
 
-class EventTraceIntegration : public ::testing::Test
+/** A finished run and a copy of its event sink. */
+struct TracedRun
 {
-  protected:
-    void
-    TearDown() override
-    {
-        EventTrace::instance().disable();
-        EventTrace::instance().clear();
-    }
+    Results res;
+    EventTrace et{0};
 };
 
-TEST_F(EventTraceIntegration, EventCountsMatchStats)
+/** runWorkload() with every event family traced. */
+TracedRun
+traceWorkload(Model model, const char *app, unsigned num_procs,
+              std::uint64_t instrs_per_proc, MachineConfig cfg = {})
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
+    cfg.model = model;
+    cfg.numProcs = num_procs;
+    System sys(cfg, generateTraces(profileByName(app), num_procs,
+                                   instrs_per_proc));
+    sys.enableTrace(~std::uint32_t{0});
+    TracedRun r;
+    r.res = sys.run();
+    r.et = *sys.trace();
+    return r;
+}
 
-    Results res = runWorkload(Model::BSCdypvt, profileByName("ocean"),
-                              4, 20'000);
-    et.disable();
+TEST(EventTraceIntegration, EventCountsMatchStats)
+{
+    auto [res, et] = traceWorkload(Model::BSCdypvt, "ocean", 4, 20'000);
     ASSERT_TRUE(res.completed);
 
     // Chunk lifecycle closes: every started chunk either committed or
@@ -93,14 +101,10 @@ TEST_F(EventTraceIntegration, EventCountsMatchStats)
                   res.stats.get("bulk.inval_nodes_total")));
 }
 
-TEST_F(EventTraceIntegration, DirectoryAndBarrierEventsMatchStats)
+TEST(EventTraceIntegration, DirectoryAndBarrierEventsMatchStats)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
     // ocean is barrier-synchronized: one barrier every 25k instrs.
-    Results res = runWorkload(Model::BSCdypvt, profileByName("ocean"),
-                              4, 60'000);
-    et.disable();
+    auto [res, et] = traceWorkload(Model::BSCdypvt, "ocean", 4, 60'000);
     ASSERT_TRUE(res.completed);
     ASSERT_EQ(et.dropped(), 0u);
 
@@ -117,7 +121,7 @@ TEST_F(EventTraceIntegration, DirectoryAndBarrierEventsMatchStats)
     EXPECT_GT(et.count(TraceEventType::BarrierArrive), 0u);
 }
 
-TEST_F(EventTraceIntegration, ResendGiveUpsMatchStats)
+TEST(EventTraceIntegration, ResendGiveUpsMatchStats)
 {
     // Arbiter replies always lost (the processors give up) or commit
     // W deliveries always lost (the memory system abandons them):
@@ -126,8 +130,6 @@ TEST_F(EventTraceIntegration, ResendGiveUpsMatchStats)
     for (const char *faults :
          {"arb.grant_loss=1.0", "dir.commit_loss=1.0"}) {
         SCOPED_TRACE(faults);
-        EventTrace &et = EventTrace::instance();
-        et.enable(~std::uint32_t{0});
         MachineConfig cfg;
         cfg.model = Model::BSCdypvt;
         cfg.numProcs = 2;
@@ -137,8 +139,9 @@ TEST_F(EventTraceIntegration, ResendGiveUpsMatchStats)
         cfg.watchdog.interval = 2'000;
         cfg.watchdog.tickCeiling = 1'000'000;
         System sys(cfg, makeStoreBuffering(0).traces);
+        sys.enableTrace(~std::uint32_t{0});
         Results res = sys.run(50'000'000);
-        et.disable();
+        const EventTrace &et = *sys.trace();
         ASSERT_EQ(res.watchdogVerdict, WatchdogVerdict::Deadlock);
 
         EXPECT_GT(et.count(TraceEventType::ResendGiveUp), 0u);
@@ -150,18 +153,17 @@ TEST_F(EventTraceIntegration, ResendGiveUpsMatchStats)
     }
 }
 
-TEST_F(EventTraceIntegration, InjectedGrantsAreTraced)
+TEST(EventTraceIntegration, InjectedGrantsAreTraced)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
     MachineConfig cfg;
     cfg.model = Model::BSCdypvt;
     cfg.numProcs = 2;
     cfg.bulk.rsigOpt = false;
     cfg.faults = "arb.skip_collision=1";
     System sys(cfg, makeStoreBuffering(0).traces);
+    sys.enableTrace(~std::uint32_t{0});
     Results res = sys.run(50'000'000);
-    et.disable();
+    const EventTrace &et = *sys.trace();
     ASSERT_TRUE(res.completed);
 
     std::uint64_t injected = 0;
@@ -176,14 +178,11 @@ TEST_F(EventTraceIntegration, InjectedGrantsAreTraced)
                             "arb.fault_injected_grants")));
 }
 
-TEST_F(EventTraceIntegration, SquashAttributionSumsToTotal)
+TEST(EventTraceIntegration, SquashAttributionSumsToTotal)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
     // High-contention app to actually provoke squashes.
-    Results res = runWorkload(Model::BSCdypvt, profileByName("ocean"),
-                              4, 20'000);
-    et.disable();
+    Results res =
+        traceWorkload(Model::BSCdypvt, "ocean", 4, 20'000).res;
     ASSERT_TRUE(res.completed);
 
     double squashes = res.stats.get("cpu.squashes");
@@ -205,7 +204,7 @@ TEST_F(EventTraceIntegration, SquashAttributionSumsToTotal)
     EXPECT_GT(res.stats.get("mem.dir_commit_service.samples"), 0.0);
 }
 
-TEST_F(EventTraceIntegration, ExactSignaturesNeverFalsePositive)
+TEST(EventTraceIntegration, ExactSignaturesNeverFalsePositive)
 {
     // BSCexact uses alias-free signatures: every squash must be
     // attributed to a true conflict.
@@ -217,13 +216,9 @@ TEST_F(EventTraceIntegration, ExactSignaturesNeverFalsePositive)
                      res.stats.get("cpu.squashes"));
 }
 
-TEST_F(EventTraceIntegration, ChromeExportFromWorkloadIsWellFormed)
+TEST(EventTraceIntegration, ChromeExportFromWorkloadIsWellFormed)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
-    Results res = runWorkload(Model::BSCdypvt, profileByName("ocean"),
-                              4, 20'000);
-    et.disable();
+    auto [res, et] = traceWorkload(Model::BSCdypvt, "ocean", 4, 20'000);
     ASSERT_TRUE(res.completed);
 
     std::ostringstream os;
@@ -267,16 +262,13 @@ TEST_F(EventTraceIntegration, ChromeExportFromWorkloadIsWellFormed)
     EXPECT_FALSE(in_str);
 }
 
-TEST_F(EventTraceIntegration, DistributedArbiterDecisionsCounted)
+TEST(EventTraceIntegration, DistributedArbiterDecisionsCounted)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
     MachineConfig cfg;
     cfg.numArbiters = 4;
     cfg.mem.numDirectories = 4;
-    Results res = runWorkload(Model::BSCdypvt, profileByName("ocean"),
-                              4, 20'000, &cfg);
-    et.disable();
+    auto [res, et] =
+        traceWorkload(Model::BSCdypvt, "ocean", 4, 20'000, cfg);
     ASSERT_TRUE(res.completed);
 
     EXPECT_EQ(et.count(TraceEventType::ArbGrant),
@@ -286,6 +278,41 @@ TEST_F(EventTraceIntegration, DistributedArbiterDecisionsCounted)
     EXPECT_EQ(et.count(TraceEventType::ArbDecision),
               et.count(TraceEventType::ArbGrant) +
                   et.count(TraceEventType::ArbDeny));
+}
+
+TEST(EventTraceIntegration, ConcurrentRunsKeepSeparateTraces)
+{
+    // Two traced runs of one configuration on two threads: each run
+    // owns its sink, so each records exactly what a run alone does.
+    TracedRun solo = traceWorkload(Model::BSCdypvt, "ocean", 4, 20'000);
+    ASSERT_GT(solo.et.count(TraceEventType::Squash), 0u);
+
+    TracedRun runs[2];
+    std::thread a([&] {
+        runs[0] = traceWorkload(Model::BSCdypvt, "ocean", 4, 20'000);
+    });
+    std::thread b([&] {
+        runs[1] = traceWorkload(Model::BSCdypvt, "ocean", 4, 20'000);
+    });
+    a.join();
+    b.join();
+
+    for (const TracedRun &r : runs) {
+        ASSERT_TRUE(r.res.completed);
+        for (std::size_t t = 0;
+             t < static_cast<std::size_t>(TraceEventType::NumTypes); ++t) {
+            auto type = static_cast<TraceEventType>(t);
+            SCOPED_TRACE(traceEventTypeName(type));
+            EXPECT_EQ(r.et.count(type), solo.et.count(type));
+        }
+        EXPECT_EQ(r.et.recorded(), solo.et.recorded());
+        EXPECT_EQ(r.et.count(TraceEventType::ChunkCommit),
+                  static_cast<std::uint64_t>(
+                      r.res.stats.get("bulk.commits")));
+        EXPECT_EQ(r.et.count(TraceEventType::Squash),
+                  static_cast<std::uint64_t>(
+                      r.res.stats.get("cpu.squashes")));
+    }
 }
 
 } // namespace

@@ -173,7 +173,8 @@ TEST(MemorySystemEdge, BouncedReadEventuallyCompletes)
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0x6000));
     bool commit_done = false, read_done = false;
-    h.mem.bulkCommit(0, w, [&] { commit_done = true; });
+    h.mem.bulkCommit(0, w, {lineOf(0x6000)},
+                     [&] { commit_done = true; });
     h.eq.schedule(h.eq.now() + 9, [&] {
         h.mem.access(2, 0x6000, MemCmd::Read, [&] { read_done = true; });
     });

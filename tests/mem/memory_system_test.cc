@@ -200,7 +200,7 @@ TEST(MemorySystem, BulkCommitForwardsWToSharers)
     w->insert(lineOf(0x9000));
     bool done = false;
     unsigned nodes = 0;
-    h.mem.bulkCommit(0, w, [&] { done = true; }, &nodes);
+    h.mem.bulkCommit(0, w, {lineOf(0x9000)}, [&] { done = true; }, &nodes);
     h.eq.run();
 
     EXPECT_TRUE(done);
@@ -215,7 +215,7 @@ TEST(MemorySystem, EmptyWCommitCompletesImmediately)
 {
     Harness h;
     bool done = false;
-    h.mem.bulkCommit(0, std::make_shared<Signature>(),
+    h.mem.bulkCommit(0, std::make_shared<Signature>(), {},
                      [&] { done = true; });
     EXPECT_TRUE(done);
 }
@@ -232,7 +232,7 @@ TEST(MemorySystem, ReadsBouncedDuringCommit)
 
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0xA000));
-    h.mem.bulkCommit(0, w, [] {});
+    h.mem.bulkCommit(0, w, {lineOf(0xA000)}, [] {});
     // Issue a read timed to land at the directory while the commit's
     // W is registered there: it must be bounced at least once.
     h.eq.schedule(h.eq.now() + 10, [&] {
@@ -254,7 +254,7 @@ TEST(MemorySystem, DiscardSpeculativeDropsOnlyMembers)
 
     Signature w;
     w.insert(lineOf(0xB000));
-    h.mem.l1DiscardSpeculative(0, w);
+    h.mem.l1DiscardSpeculative(0, w, {lineOf(0xB000)});
     EXPECT_FALSE(h.mem.l1Contains(0, lineOf(0xB000)));
     EXPECT_TRUE(h.mem.l1Contains(0, lineOf(0xB040)));
 }
@@ -316,7 +316,7 @@ TEST(MemorySystem, RacingFillDoesNotResurrectInvalidatedLine)
 
     // Issue the read and the commit into the same race window.
     h.mem.access(1, 0xF100, MemCmd::Read, nullptr);
-    h.mem.bulkCommit(0, w, [] {});
+    h.mem.bulkCommit(0, w, {lineOf(0xF100)}, [] {});
     h.eq.run();
 
     // Invariant: any cached copy must be visible to the directory.

@@ -16,27 +16,27 @@ namespace {
 class EventTraceTest : public ::testing::Test
 {
   protected:
-    void
-    TearDown() override
-    {
-        EventTrace::instance().disable();
-        EventTrace::instance().clear();
-    }
+    /** The sink EVENT_TRACE records into here, as SimObject's does
+     *  in the simulator: none until a test attaches one. */
+    EventTrace *traceSink() const { return sink; }
+
+    EventTrace *sink = nullptr;
 };
 
 TEST_F(EventTraceTest, DisabledByDefault)
 {
-    EXPECT_FALSE(eventTraceEnabled());
-    // The macro must be a no-op while disabled.
+    EXPECT_EQ(traceSink(), nullptr);
+    // The macro must be a no-op without a sink.
+    EventTrace et(~std::uint32_t{0});
     EVENT_TRACE(TraceEventType::ChunkStart, 1, trackProc(0), 0, 0);
-    EXPECT_EQ(EventTrace::instance().recorded(), 0u);
+    EXPECT_EQ(et.recorded(), 0u);
 }
 
 TEST_F(EventTraceTest, RecordsAndCounts)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
-    EXPECT_TRUE(eventTraceEnabled());
+    EventTrace et(~std::uint32_t{0});
+    sink = &et;
+    EXPECT_NE(traceSink(), nullptr);
 
     EVENT_TRACE(TraceEventType::ChunkStart, 10, trackProc(1), 7, 1000);
     EVENT_TRACE(TraceEventType::ChunkCommit, 25, trackProc(1), 7, 990);
@@ -62,8 +62,7 @@ TEST_F(EventTraceTest, RecordsAndCounts)
 
 TEST_F(EventTraceTest, RingOverflowKeepsNewestAndCountsDrops)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0}, 4);
+    EventTrace et(~std::uint32_t{0}, 4);
     for (Tick t = 0; t < 10; ++t)
         et.record(TraceEventType::DirBounce, t, trackDir(0), t);
 
@@ -81,8 +80,8 @@ TEST_F(EventTraceTest, RingOverflowKeepsNewestAndCountsDrops)
 
 TEST_F(EventTraceTest, CategoryMaskFilters)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(static_cast<std::uint32_t>(TraceCat::Squash));
+    EventTrace et(static_cast<std::uint32_t>(TraceCat::Squash));
+    sink = &et;
 
     EVENT_TRACE(TraceEventType::ChunkStart, 1, trackProc(0)); // chunk
     EVENT_TRACE(TraceEventType::ArbGrant, 2, trackProc(0));   // commit
@@ -165,8 +164,7 @@ TEST_F(EventTraceTest, NamesRoundTrip)
 
 TEST_F(EventTraceTest, WriteTextRendersRingInRecordOrder)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
+    EventTrace et(~std::uint32_t{0});
     et.record(TraceEventType::ChunkStart, 100, trackProc(0), 5, 1000);
     et.record(TraceEventType::ArbDecision, 190, trackArb(0), 0, 2, 1);
     et.record(TraceEventType::Squash, 250, trackProc(1), 6, 1,
@@ -191,11 +189,12 @@ TEST_F(EventTraceTest, WriteTextRendersRingInRecordOrder)
 
 TEST_F(EventTraceTest, EnableClearsPreviousContents)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
+    // Re-arming a run's tracing (System::enableTrace) replaces its
+    // sink; the fresh one holds nothing of the old.
+    EventTrace et(~std::uint32_t{0});
     et.record(TraceEventType::Squash, 1, trackProc(0));
     EXPECT_EQ(et.recorded(), 1u);
-    et.enable(~std::uint32_t{0});
+    et = EventTrace(~std::uint32_t{0});
     EXPECT_EQ(et.recorded(), 0u);
     EXPECT_EQ(et.size(), 0u);
 }
@@ -212,8 +211,7 @@ TEST_F(EventTraceTest, TrackNames)
 
 TEST_F(EventTraceTest, ChromeExportPairsSpansAndInstants)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
+    EventTrace et(~std::uint32_t{0});
 
     // Chunk 5 on cpu0: start -> commit. Chunk 6: start -> squash.
     et.record(TraceEventType::ChunkStart, 100, trackProc(0), 5, 1000);
@@ -255,8 +253,7 @@ TEST_F(EventTraceTest, ChromeExportPairsSpansAndInstants)
 
 TEST_F(EventTraceTest, ChromeExportLeavesUnfinishedSpansOpen)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
+    EventTrace et(~std::uint32_t{0});
     et.record(TraceEventType::ChunkStart, 10, trackProc(3), 1, 500);
     et.record(TraceEventType::DirBounce, 90, trackDir(0), 0, 1);
 
@@ -270,8 +267,7 @@ TEST_F(EventTraceTest, ChromeExportLeavesUnfinishedSpansOpen)
 
 TEST_F(EventTraceTest, OverlappingChunksGetSeparateRows)
 {
-    EventTrace &et = EventTrace::instance();
-    et.enable(~std::uint32_t{0});
+    EventTrace et(~std::uint32_t{0});
     // Two simultaneously-live chunks on one processor
     // (maxLiveChunks = 2): the export must not stack them on one row.
     et.record(TraceEventType::ChunkStart, 0, trackProc(0), 1, 0);

@@ -10,53 +10,11 @@
 namespace bulksc {
 namespace {
 
-class LoggingTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { saved = isQuiet(); }
-    void TearDown() override { setQuiet(saved); }
-
-    bool saved = false;
-};
-
-TEST_F(LoggingTest, FormatConcatenatesMixedTypes)
+TEST(LoggingTest, FormatConcatenatesMixedTypes)
 {
     EXPECT_EQ(detail::format("x=", 42, " y=", 2.5, " z"),
               "x=42 y=2.5 z");
     EXPECT_EQ(detail::format(), "");
-}
-
-TEST_F(LoggingTest, WarnPrintsUnlessQuiet)
-{
-    setQuiet(false);
-    testing::internal::CaptureStderr();
-    warn("something ", 7);
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "warn: something 7"),
-              std::string::npos);
-
-    setQuiet(true);
-    testing::internal::CaptureStderr();
-    warn("hidden");
-    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-}
-
-TEST_F(LoggingTest, InformGoesToStdout)
-{
-    setQuiet(false);
-    testing::internal::CaptureStdout();
-    inform("status ", 1);
-    EXPECT_NE(testing::internal::GetCapturedStdout().find(
-                  "info: status 1"),
-              std::string::npos);
-}
-
-TEST_F(LoggingTest, QuietFlagRoundTrips)
-{
-    setQuiet(true);
-    EXPECT_TRUE(isQuiet());
-    setQuiet(false);
-    EXPECT_FALSE(isQuiet());
 }
 
 TEST(LoggingDeath, PanicAborts)

@@ -94,16 +94,42 @@ TEST(ResolveWorkload, ReplayCheckTracksEveryValue)
 TEST(ResolveWorkload, BundleTraceCountWinsOverProcs)
 {
     std::string path = ::testing::TempDir() + "bulksc_run_test_16.trc";
+    std::string err;
     ASSERT_TRUE(saveTraces(
-        path, generateTraces(profileByName("fft"), 16, 500)));
+        path, generateTraces(profileByName("fft"), 16, 500), err))
+        << err;
     SimOptions opts; // default --procs
     opts.loadTraces = path;
     ResolvedWorkload w;
-    std::string err;
     ASSERT_TRUE(resolveWorkload(opts, w, err)) << err;
     std::remove(path.c_str());
     EXPECT_EQ(w.traces.size(), 16u);
     EXPECT_EQ(opts.cfg.numProcs, 16u);
+}
+
+TEST(ResolveWorkload, BundleErrorsCarryTheLoaderReason)
+{
+    std::string path = ::testing::TempDir() + "bulksc_run_test_bad.trc";
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not a bundle", f);
+    std::fclose(f);
+
+    SimOptions garbage;
+    garbage.loadTraces = path;
+    ResolvedWorkload w;
+    std::string err;
+    EXPECT_FALSE(resolveWorkload(garbage, w, err));
+    std::remove(path.c_str());
+    EXPECT_NE(err.find("not a trace bundle"), std::string::npos) << err;
+    EXPECT_NE(err.find(path), std::string::npos) << err;
+
+    SimOptions missing;
+    missing.loadTraces = path;
+    err.clear();
+    EXPECT_FALSE(resolveWorkload(missing, w, err));
+    EXPECT_NE(err.find("cannot open '" + path + "'"), std::string::npos)
+        << err;
 }
 
 // ---------------------------------------------------------------- //

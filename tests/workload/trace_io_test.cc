@@ -38,9 +38,11 @@ TEST_F(TraceIoTest, RoundTripPreservesEveryField)
     AppProfile app = profileByName("radiosity");
     app.trackAllValues = true;
     auto traces = generateTraces(app, 3, 8000);
-    ASSERT_TRUE(saveTraces(path, traces));
+    std::string err;
+    ASSERT_TRUE(saveTraces(path, traces, err)) << err;
 
-    auto loaded = loadTraces(path);
+    std::vector<Trace> loaded;
+    ASSERT_TRUE(loadTraces(path, loaded, err)) << err;
     ASSERT_EQ(loaded.size(), traces.size());
     for (std::size_t i = 0; i < traces.size(); ++i) {
         ASSERT_EQ(loaded[i].ops.size(), traces[i].ops.size());
@@ -62,8 +64,10 @@ TEST_F(TraceIoTest, RoundTripPreservesEveryField)
 TEST_F(TraceIoTest, ReplayIsBitIdentical)
 {
     auto traces = generateTraces(profileByName("lu"), 4, 10000);
-    ASSERT_TRUE(saveTraces(path, traces));
-    auto loaded = loadTraces(path);
+    std::string err;
+    ASSERT_TRUE(saveTraces(path, traces, err)) << err;
+    std::vector<Trace> loaded;
+    ASSERT_TRUE(loadTraces(path, loaded, err)) << err;
     ASSERT_EQ(loaded.size(), 4u);
 
     MachineConfig cfg;
@@ -83,12 +87,14 @@ TEST_F(TraceIoTest, ReplayIsBitIdentical)
 TEST_F(TraceIoTest, DoubleRoundTripIsByteIdentical)
 {
     auto traces = generateTraces(profileByName("ocean"), 2, 5000);
-    ASSERT_TRUE(saveTraces(path, traces));
-    auto loaded = loadTraces(path);
+    std::string err;
+    ASSERT_TRUE(saveTraces(path, traces, err)) << err;
+    std::vector<Trace> loaded;
+    ASSERT_TRUE(loadTraces(path, loaded, err)) << err;
     ASSERT_FALSE(loaded.empty());
 
     std::string path2 = path + ".2";
-    ASSERT_TRUE(saveTraces(path2, loaded));
+    ASSERT_TRUE(saveTraces(path2, loaded, err)) << err;
     auto slurp = [](const std::string &p) {
         std::FILE *f = std::fopen(p.c_str(), "rb");
         std::string out;
@@ -110,8 +116,10 @@ TEST_F(TraceIoTest, LitmusTracesRoundTrip)
     // values, and zero-gap sequences.
     LitmusTest lt;
     ASSERT_TRUE(litmusByName("wrc", 0, lt));
-    ASSERT_TRUE(saveTraces(path, lt.traces));
-    auto loaded = loadTraces(path);
+    std::string err;
+    ASSERT_TRUE(saveTraces(path, lt.traces, err)) << err;
+    std::vector<Trace> loaded;
+    ASSERT_TRUE(loadTraces(path, loaded, err)) << err;
     ASSERT_EQ(loaded.size(), lt.traces.size());
     for (std::size_t i = 0; i < loaded.size(); ++i) {
         ASSERT_EQ(loaded[i].ops.size(), lt.traces[i].ops.size());
@@ -129,40 +137,53 @@ TEST_F(TraceIoTest, LitmusTracesRoundTrip)
 
 TEST_F(TraceIoTest, EmptyTraceListRoundTrips)
 {
-    setQuiet(true);
-    std::vector<Trace> none;
-    ASSERT_TRUE(saveTraces(path, none));
-    EXPECT_TRUE(loadTraces(path).empty());
+    std::vector<Trace> none, loaded(1);
+    std::string err;
+    ASSERT_TRUE(saveTraces(path, none, err)) << err;
+    ASSERT_TRUE(loadTraces(path, loaded, err)) << err;
+    EXPECT_TRUE(loaded.empty());
 }
 
 TEST_F(TraceIoTest, MissingFileIsEmpty)
 {
-    setQuiet(true);
-    EXPECT_TRUE(loadTraces("/nonexistent/nope.bin").empty());
+    std::vector<Trace> loaded;
+    std::string err;
+    EXPECT_FALSE(loadTraces("/nonexistent/nope.bin", loaded, err));
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(err, "cannot open '/nonexistent/nope.bin'");
+
+    EXPECT_FALSE(saveTraces("/nonexistent/dir/x.bin", {}, err));
+    EXPECT_EQ(err, "cannot open '/nonexistent/dir/x.bin'");
 }
 
 TEST_F(TraceIoTest, GarbageFileIsRejected)
 {
-    setQuiet(true);
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("this is not a trace bundle at all", f);
     std::fclose(f);
-    EXPECT_TRUE(loadTraces(path).empty());
+    std::vector<Trace> loaded;
+    std::string err;
+    EXPECT_FALSE(loadTraces(path, loaded, err));
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(err, "not a trace bundle '" + path + "'");
 }
 
 TEST_F(TraceIoTest, TruncatedBundleIsRejected)
 {
-    setQuiet(true);
     auto traces = generateTraces(profileByName("barnes"), 2, 4000);
-    ASSERT_TRUE(saveTraces(path, traces));
+    std::string err;
+    ASSERT_TRUE(saveTraces(path, traces, err)) << err;
     // Chop the file in half.
     std::FILE *f = std::fopen(path.c_str(), "rb");
     std::fseek(f, 0, SEEK_END);
     long size = std::ftell(f);
     std::fclose(f);
     ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-    EXPECT_TRUE(loadTraces(path).empty());
+    std::vector<Trace> loaded;
+    EXPECT_FALSE(loadTraces(path, loaded, err));
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(err, "truncated bundle '" + path + "'");
 }
 
 } // namespace

@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/logging.hh"
 #include "system/sim_options.hh"
 #include "system/sweep_runner.hh"
 
@@ -101,8 +100,6 @@ parseJobs(const char *s, unsigned &jobs)
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
-
     std::vector<SweepAxis> axes;
     unsigned jobs = 1;
     std::string out_path;

@@ -28,7 +28,6 @@
 #include <string>
 
 #include "explore/explorer.hh"
-#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 using namespace bulksc;
@@ -36,8 +35,6 @@ using namespace bulksc;
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
-
     SimOptions opts;
     int rc;
     if (!parseDriverOptions(argc, argv, OptionGroup::Explore, opts, rc))
@@ -67,11 +64,7 @@ main(int argc, char **argv)
                              out.mismatches));
         }
         if (!opts.explore.scheduleOut.empty()) {
-            Schedule rec;
-            rec.choices.reserve(out.trace.size());
-            for (const DecisionRecord &d : out.trace)
-                rec.choices.push_back(d.choice());
-            if (!rec.save(opts.explore.scheduleOut)) {
+            if (!scheduleOf(out.trace).save(opts.explore.scheduleOut)) {
                 std::fprintf(stderr,
                              "error: cannot write schedule to %s\n",
                              opts.explore.scheduleOut.c_str());

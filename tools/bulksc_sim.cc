@@ -36,8 +36,6 @@ using namespace bulksc;
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
-
     SimOptions opts;
     int rc;
     if (!parseDriverOptions(argc, argv, OptionGroup::Sim, opts, rc))
@@ -50,18 +48,19 @@ main(int argc, char **argv)
         return 1;
     }
     if (!opts.saveTraces.empty() &&
-        !saveTraces(opts.saveTraces, work.traces)) {
+        !saveTraces(opts.saveTraces, work.traces, err)) {
+        std::fprintf(stderr, "%s: cannot save trace bundle: %s\n",
+                     argv[0], err.c_str());
         return 1;
-    }
-
-    if (!opts.traceOut.empty()) {
-        std::uint32_t cats = 0;
-        parseTraceCategories(opts.traceCats, cats, err); // parser-checked
-        EventTrace::instance().enable(cats);
     }
 
     const MachineConfig &cfg = opts.cfg;
     System sys(cfg, std::move(work.traces));
+    if (!opts.traceOut.empty()) {
+        std::uint32_t cats = 0;
+        parseTraceCategories(opts.traceCats, cats, err); // parser-checked
+        sys.enableTrace(cats);
+    }
     sys.enableAnalysis(opts.checks.axiomatic, opts.checks.race,
                        opts.checks.replay);
     Results res = sys.run();
@@ -77,7 +76,7 @@ main(int argc, char **argv)
         std::fputs(res.watchdogReport.c_str(), stderr);
 
     if (!opts.traceOut.empty()) {
-        const EventTrace &et = EventTrace::instance();
+        const EventTrace &et = *sys.trace();
         if (opts.traceOut == "-") {
             et.writeText(std::cerr);
         } else if (!et.exportChromeTrace(opts.traceOut)) {
