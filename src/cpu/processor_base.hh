@@ -8,9 +8,13 @@
  * Timing is modelled at memory-op granularity: non-memory instructions
  * advance the front-end clock at the issue width; memory and
  * synchronization operations are subject to each consistency model's
- * ordering rules. This keeps the relative behaviour of SC / RC / SC++ /
- * BulkSC (the paper's comparison axis) while staying fast enough to run
- * the full evaluation.
+ * ordering rules. This keeps the relative behaviour of SC / TSO / RC /
+ * SC++ / BulkSC (the paper's comparison axis) while staying fast enough
+ * to run the full evaluation.
+ *
+ * Two subclasses supply those rules: LsqProcessor runs every non-chunk
+ * baseline from a row of the ordering table (cpu/lsq_processor.hh), and
+ * BulkProcessor runs the BulkSC variants (core/bulk_processor.hh).
  */
 
 #ifndef BULKSC_CPU_PROCESSOR_BASE_HH

@@ -68,6 +68,33 @@ isBulk(Model m)
            m == Model::BSCstpvt || m == Model::BSCexact;
 }
 
+const OrderingRow *
+orderingRow(Model m)
+{
+    // The baseline ordering table (docs/architecture.md). Columns:
+    // load passes load, load passes store, store passes store, sync
+    // waits for older accesses, prefetch inside the ROB, squash on a
+    // violation, store-buffer entries (0 = unbounded).
+    using R = OrderingRow;
+    //                     ld>ld  ld>st  st>st  sync   pref   squash SB
+    static constexpr R kSc  {false, false, false, true,  true,  false, 0};
+    static constexpr R kTso {false, true,  false, true,  true,  false, 16};
+    static constexpr R kRc  {true,  true,  true,  false, false, false, 0};
+    static constexpr R kScpp{true,  true,  true,  true,  false, true,  0};
+    switch (m) {
+      case Model::SC:
+        return &kSc;
+      case Model::TSO:
+        return &kTso;
+      case Model::RC:
+        return &kRc;
+      case Model::SCpp:
+        return &kScpp;
+      default:
+        return nullptr;
+    }
+}
+
 bool
 MachineConfig::validate(std::string &err) const
 {

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "core/bulk_processor.hh"
-#include "cpu/processor_base.hh"
+#include "cpu/lsq_processor.hh"
 #include "mem/memory_system.hh"
 #include "network/network.hh"
 
@@ -23,7 +23,7 @@ enum class Model
     SC,       //!< in-order SC + read/exclusive prefetching [12]
     TSO,      //!< total store order (extension beyond the paper)
     RC,       //!< release consistency, speculation across fences
-    SCpp,     //!< SC++ with a 2K-entry SHiQ [15]
+    SCpp,     //!< SC++: RC overlap plus SHiQ rollback [15]
     BSCbase,  //!< basic BulkSC (Section 4)
     BSCdypvt, //!< + dynamically-private data optimization (5.2)
     BSCstpvt, //!< + statically-private data optimization (5.1)
@@ -38,6 +38,10 @@ Model modelByName(const std::string &name);
 
 /** True for the four BulkSC variants. */
 bool isBulk(Model m);
+
+/** The ordering-table row of a baseline model; nullptr for the
+ *  BulkSC variants. */
+const OrderingRow *orderingRow(Model m);
 
 /** What the forward-progress watchdog concluded about a run. */
 enum class WatchdogVerdict
@@ -109,9 +113,6 @@ struct MachineConfig
     /** Arbiter modules; > 1 selects the distributed arbiter with a
      *  G-arbiter (Section 4.2.3). */
     unsigned numArbiters = 1;
-
-    /** SC++ SHiQ entries. */
-    unsigned shiqEntries = 2048;
 
     /** Pre-load non-streaming lines into the L2 before the run so
      *  short simulations measure steady state, not cold misses. */

@@ -1,9 +1,5 @@
 #include "system/system.hh"
 
-#include "cpu/rc_processor.hh"
-#include "cpu/sc_processor.hh"
-#include "cpu/scpp_processor.hh"
-#include "cpu/tso_processor.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workload/generator.hh"
@@ -60,34 +56,16 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
 
     for (unsigned p = 0; p < np; ++p) {
         std::string name = "cpu" + std::to_string(p);
-        switch (cfg.model) {
-          case Model::SC:
-            procs.push_back(std::make_unique<ScProcessor>(
-                eq, name, p, *memSys, traces[p], cfg.cpu));
-            break;
-          case Model::TSO:
-            procs.push_back(std::make_unique<TsoProcessor>(
-                eq, name, p, *memSys, traces[p], cfg.cpu));
-            break;
-          case Model::RC:
-            procs.push_back(std::make_unique<RcProcessor>(
-                eq, name, p, *memSys, traces[p], cfg.cpu));
-            break;
-          case Model::SCpp:
-            procs.push_back(std::make_unique<ScppProcessor>(
-                eq, name, p, *memSys, traces[p], cfg.cpu,
-                cfg.shiqEntries));
-            break;
-          default: {
-            auto bp = std::make_unique<BulkProcessor>(
-                eq, name, p, *memSys, traces[p], cfg.cpu, cfg.bulk,
-                *arb);
-            if (harden)
-                bp->harden(cfg.resend);
-            procs.push_back(std::move(bp));
-            break;
-          }
+        if (const OrderingRow *row = orderingRow(cfg.model)) {
+            procs.push_back(std::make_unique<LsqProcessor>(
+                eq, name, p, *memSys, traces[p], cfg.cpu, *row));
+            continue;
         }
+        auto bp = std::make_unique<BulkProcessor>(
+            eq, name, p, *memSys, traces[p], cfg.cpu, cfg.bulk, *arb);
+        if (harden)
+            bp->harden(cfg.resend);
+        procs.push_back(std::move(bp));
     }
 
     if (cfg.watchdog.enabled && isBulk(cfg.model)) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the SC, RC, and SC++ processor models: completion,
+ * Tests for the SC, TSO, RC and SC++ baselines: completion,
  * ordering/overlap properties, value semantics, synchronization, and
  * SC++ violation repair.
  */
@@ -118,8 +118,8 @@ TEST_P(AllModels, LocksProvideMutualExclusion)
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, AllModels,
-                         ::testing::Values(Model::SC, Model::RC,
-                                           Model::SCpp,
+                         ::testing::Values(Model::SC, Model::TSO,
+                                           Model::RC, Model::SCpp,
                                            Model::BSCbase,
                                            Model::BSCdypvt,
                                            Model::BSCstpvt,
@@ -190,8 +190,8 @@ TEST(ScppProcessor, SquashesOnInvalidationOfSpeculativeLoad)
 
 TEST(Barrier, AllModelsPassBarriers)
 {
-    for (Model m : {Model::SC, Model::RC, Model::SCpp, Model::BSCbase,
-                    Model::BSCdypvt, Model::BSCexact}) {
+    for (Model m : {Model::SC, Model::TSO, Model::RC, Model::SCpp,
+                    Model::BSCbase, Model::BSCdypvt, Model::BSCexact}) {
         auto mk = [&](std::uint32_t idx_count) {
             std::vector<Op> ops;
             ops.push_back(load(0x1000, 10));
@@ -221,7 +221,8 @@ TEST(Barrier, AllModelsPassBarriers)
 
 TEST(IoOps, DrainAndComplete)
 {
-    for (Model m : {Model::SC, Model::RC, Model::BSCdypvt}) {
+    for (Model m : {Model::SC, Model::TSO, Model::RC, Model::SCpp,
+                    Model::BSCdypvt}) {
         std::vector<Op> ops = {store(0x9000'3000, 1, 5)};
         Op io;
         io.type = OpType::Io;

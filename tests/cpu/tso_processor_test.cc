@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cpu/tso_processor.hh"
+#include "cpu/lsq_processor.hh"
 #include "system/system.hh"
 #include "workload/generator.hh"
 #include "workload/litmus.hh"
@@ -60,7 +60,7 @@ TEST(TsoProcessor, CompletesAndDrainsStores)
     System sys(cfg, {makeTrace(ops)});
     Results r = sys.run(10'000'000);
     ASSERT_TRUE(r.completed);
-    auto *tso = dynamic_cast<TsoProcessor *>(&sys.processor(0));
+    auto *tso = dynamic_cast<LsqProcessor *>(&sys.processor(0));
     ASSERT_NE(tso, nullptr);
     EXPECT_EQ(tso->drainedStores(), 60u);
 }

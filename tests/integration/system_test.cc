@@ -22,17 +22,49 @@ runApp(Model m, const char *app, unsigned procs = 8,
     return runWorkload(m, profileByName(app), procs, kInstrs, base);
 }
 
+/**
+ * Run @p p under @p m and check it completes. A baseline must also
+ * retire every trace instruction exactly once: a rollback may never
+ * re-execute an op that has already performed.
+ */
+void
+expectCompletesExactly(Model m, const AppProfile &p, unsigned procs,
+                       std::uint64_t instrs)
+{
+    MachineConfig cfg;
+    cfg.model = m;
+    cfg.numProcs = procs;
+    std::vector<Trace> traces = generateTraces(p, procs, instrs);
+    std::vector<std::uint64_t> total;
+    for (const Trace &t : traces)
+        total.push_back(t.totalInstrs());
+    System sys(cfg, std::move(traces));
+    Results r = sys.run();
+    const std::string where = p.name + " under " + modelName(m);
+    EXPECT_TRUE(r.completed) << where;
+    EXPECT_GT(r.stats.get("cpu.retired_instrs"), 0.0) << where;
+    if (isBulk(m))
+        return;
+    for (unsigned i = 0; i < sys.numProcs(); ++i) {
+        const ProcessorBase &cpu = sys.processor(i);
+        EXPECT_EQ(cpu.retiredInstrs() - cpu.spinInstrs(), total[i])
+            << where << ", processor " << i;
+    }
+}
+
 TEST(SystemIntegration, AllModelsCompleteAllWorkloads)
 {
     for (const AppProfile &p : allProfiles()) {
-        for (Model m : {Model::SC, Model::RC, Model::SCpp,
+        for (Model m : {Model::SC, Model::TSO, Model::RC, Model::SCpp,
                         Model::BSCbase, Model::BSCdypvt,
                         Model::BSCstpvt, Model::BSCexact}) {
-            Results r = runWorkload(m, p, 4, 6'000);
-            EXPECT_TRUE(r.completed)
-                << p.name << " under " << modelName(m);
-            EXPECT_GT(r.stats.get("cpu.retired_instrs"), 0.0);
+            expectCompletesExactly(m, p, 4, 6'000);
         }
+    }
+    // Large enough for SC++ to squash near sync ops.
+    for (const char *app : {"radiosity", "sjbb2k"}) {
+        for (Model m : {Model::SC, Model::TSO, Model::RC, Model::SCpp})
+            expectCompletesExactly(m, profileByName(app), 8, 60'000);
     }
 }
 

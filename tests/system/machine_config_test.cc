@@ -29,7 +29,6 @@ TEST(MachineConfig, Table2Defaults)
     EXPECT_EQ(cfg.bulk.sigCfg.totalBits, 2048u);
     EXPECT_EQ(cfg.maxSimulCommits, 8u);
     EXPECT_EQ(cfg.numArbiters, 1u);
-    EXPECT_EQ(cfg.shiqEntries, 2048u);
     EXPECT_EQ(cfg.cpu.windowOps, 56u);
     EXPECT_EQ(cfg.cpu.robInstrs, 176u);
     EXPECT_EQ(cfg.cpu.issueWidth, 4u);
