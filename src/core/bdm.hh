@@ -96,6 +96,10 @@ struct Chunk
     /** Instructions executed so far (including spin iterations). */
     std::uint64_t execInstrs = 0;
 
+    /** The spin-loop share of execInstrs: retired at commit, wasted by
+     *  a squash. */
+    std::uint64_t spinInstrs = 0;
+
     Signature r;     //!< read signature
     Signature w;     //!< write signature (consistency-visible)
     Signature wpriv; //!< private-write signature (Section 5)

@@ -417,13 +417,7 @@ BulkProcessor::advance()
                 continue;
             }
             syncBusy = true;
-            execSync(op, [this, e = epoch] {
-                if (epoch != e)
-                    return;
-                syncBusy = false;
-                finishOp();
-                advance();
-            });
+            execSync(pos);
             return;
         }
     }
@@ -768,6 +762,7 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
     for (std::size_t j = chunks.size(); j-- > idx;) {
         Chunk &c = *chunks[j];
         nWasted += c.execInstrs;
+        nSpin -= c.spinInstrs;
         bstats.squashChunkSize.sample(
             static_cast<double>(c.execInstrs));
         EVENT_TRACE(TraceEventType::ChunkSquash, curTick(),
@@ -850,7 +845,7 @@ BulkProcessor::onExternalOwnerFetch(LineAddr line)
             // version from the Private Buffer and add the address back
             // to W so the commit publishes it (Section 5.2).
             ++bstats.privBufferSupplies;
-            c->w.insert(line);
+            c->addW(line);
             return;
         }
     }
@@ -859,11 +854,17 @@ BulkProcessor::onExternalOwnerFetch(LineAddr line)
 void
 BulkProcessor::chargeInstrs(unsigned n)
 {
-    ProcessorBase::chargeInstrs(n);
-    if (chunks.empty() || chunks.back()->endReached)
+    if (chunks.empty() || chunks.back()->endReached) {
+        ProcessorBase::chargeInstrs(n);
         return;
+    }
+    // Charged into the live chunk, the spin retires with its commit
+    // (or is wasted by its squash) like any other instruction.
+    nSpin += n;
+    fetchAdvance(n);
     Chunk &cur = *chunks.back();
     cur.execInstrs += n;
+    cur.spinInstrs += n;
     // Spin loops grow the chunk like any other instructions; when it
     // reaches its target size it ends and commits even while the
     // synchronization operation is still in progress. This is what
@@ -876,109 +877,99 @@ BulkProcessor::chargeInstrs(unsigned n)
 }
 
 void
-BulkProcessor::withChunk(std::function<void(Chunk &)> fn)
+BulkProcessor::syncDone()
 {
-    Chunk *c = currentChunk();
-    if (c) {
-        fn(*c);
-        return;
-    }
-    eventq.scheduleAfter(10, [this, fn = std::move(fn), e = epoch] {
-        if (epoch != e)
-            return;
-        withChunk(std::move(fn));
-    });
+    syncBusy = false;
+    finishOp();
+    advance();
 }
 
 void
-BulkProcessor::syncLoad(Addr addr,
-                        std::function<void(std::uint64_t)> done)
+BulkProcessor::syncLoad(Addr addr)
 {
-    withChunk([this, addr, done](Chunk &c) {
-        loadToChunk(c, lineOf(addr, prm.lineBytes), false);
-        auto fin = [this, addr, done, e = epoch] {
-            if (epoch != e)
-                return;
-            // The value binds now, possibly in a later chunk than the
-            // one the access started in (the first chunk may have
-            // committed while a spin was in progress), so the read is
-            // attributed — R signature and access log — to the
-            // chunk that is current when it completes.
-            withChunk([this, addr, done](Chunk &now) {
-                loadToChunk(now, lineOf(addr, prm.lineBytes), false);
-                std::uint64_t v = specRead(addr);
-                logLoad(now, addr, v, true);
-                done(v);
-            });
-        };
-        auto lat = mem.access(pid, addr, MemCmd::Read, fin);
-        if (lat)
-            eventq.scheduleAfter(*lat, fin);
-    });
+    syncAddr = addr;
+    syncRmwKind.reset();
+    syncStage(SyncStage::Load);
 }
 
 void
-BulkProcessor::syncStore(Addr addr, std::uint64_t value,
-                         std::function<void()> done)
-{
-    withChunk([this, addr, value, done](Chunk &c) {
-        storeToChunk(c, addr, false, true, value);
-        // Stores retire immediately (stall-free writes, Section 6).
-        eventq.scheduleAfter(1, [done, this, e = epoch] {
-            if (epoch != e)
-                return;
-            done();
-        });
-    });
-}
-
-void
-BulkProcessor::syncRmw(Addr addr,
-                       std::function<std::uint64_t(std::uint64_t)> modify,
-                       std::function<void(std::uint64_t)> done)
+BulkProcessor::syncRmw(Addr addr, RmwKind kind)
 {
     // Load + conditional speculative store; the chunk's atomicity
     // makes the pair atomic (Section 3.3: synchronization operations
     // execute inside chunks with no fences).
-    syncLoad(addr, [this, addr, modify, done,
-                    e = epoch](std::uint64_t old) {
-        if (epoch != e)
-            return;
-        std::uint64_t next = modify(old);
-        if (next != old) {
-            withChunk([this, addr, next](Chunk &c) {
-                storeToChunk(c, addr, false, true, next);
-            });
-        }
-        done(old);
-    });
+    syncAddr = addr;
+    syncRmwKind = kind;
+    syncStage(SyncStage::Load);
 }
 
 void
-BulkProcessor::execIo(std::function<void()> done)
+BulkProcessor::syncStore(Addr addr, std::uint64_t value)
 {
-    // Uncached operations wait for every chunk to commit, execute
-    // non-speculatively, then a fresh chunk starts (Section 4.1.3).
-    if (!chunks.empty() && !chunks.back()->endReached) {
-        chunks.back()->endReached = true;
+    syncAddr = addr;
+    syncValue = value;
+    syncStage(SyncStage::Store);
+}
+
+void
+BulkProcessor::execIo()
+{
+    syncStage(SyncStage::Drain);
+}
+
+void
+BulkProcessor::syncStage(SyncStage s)
+{
+    const std::uint32_t e = epoch;
+    Chunk *c = nullptr;
+    if (s != SyncStage::Drain) {
+        c = currentChunk();
+    } else if (chunks.empty() && committingCount == 0) {
+        eventq.scheduleAfter(prm.ioLatency,
+                             [this, e] { syncStep(e, 0); });
+        return;
+    } else {
+        // Uncached operations wait for every chunk to commit, execute
+        // non-speculatively, then a fresh chunk starts (Section
+        // 4.1.3). No chunk opens while the op waits.
+        if (!chunks.empty())
+            chunks.back()->endReached = true;
         maybeArbitrate();
     }
-    // The stored function captures itself weakly (a shared_ptr cycle
-    // never frees); the scheduled retry carries the strong reference.
-    auto waiter = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> wwaiter = waiter;
-    *waiter = [this, done, wwaiter, e = epoch] {
-        if (epoch != e)
-            return;
-        if (chunks.empty() && committingCount == 0) {
-            eventq.scheduleAfter(prm.ioLatency, done);
-            return;
-        }
-        maybeArbitrate();
-        auto self = wwaiter.lock();
-        eventq.scheduleAfter(10, [self] { (*self)(); });
-    };
-    (*waiter)();
+    if (!c) {
+        eventq.scheduleAfter(10, [this, s, e] {
+            if (epoch == e)
+                syncStage(s);
+        });
+        return;
+    }
+
+    if (s == SyncStage::Store) {
+        storeToChunk(*c, syncAddr, false, true, syncValue);
+        // Stores retire immediately (stall-free writes, Section 6).
+        eventq.scheduleAfter(1, [this, e] { syncStep(e, 0); });
+        return;
+    }
+    loadToChunk(*c, lineOf(syncAddr, prm.lineBytes), false);
+    if (s == SyncStage::Load) {
+        accessThen(syncAddr, MemCmd::Read, [this, e] {
+            if (epoch == e)
+                syncStage(SyncStage::Bind);
+        });
+        return;
+    }
+    // The value binds now, possibly in a later chunk than the one the
+    // access started in (the first chunk may have committed while a
+    // spin was in progress), so the read is attributed — R signature
+    // and access log — to the chunk that is current when it completes.
+    std::uint64_t v = specRead(syncAddr);
+    logLoad(*c, syncAddr, v, true);
+    if (syncRmwKind) {
+        std::uint64_t next = rmwResult(*syncRmwKind, v);
+        if (next != v)
+            storeToChunk(*c, syncAddr, false, true, next);
+    }
+    syncStep(e, v);
 }
 
 } // namespace bulksc

@@ -163,9 +163,6 @@ class BulkProcessor : public ProcessorBase
      *  order. */
     void setAnalysis(AnalysisEngine *a) { analysis = a; }
 
-    /** Live chunks right now (testing hook). */
-    std::size_t liveChunks() const { return chunks.size(); }
-
     // --- forward-progress watchdog hooks ---
 
     /** Squashes since the last commit. */
@@ -200,14 +197,11 @@ class BulkProcessor : public ProcessorBase
   protected:
     void advance() override;
 
-    void syncLoad(Addr addr,
-                  std::function<void(std::uint64_t)> done) override;
-    void syncStore(Addr addr, std::uint64_t value,
-                   std::function<void()> done) override;
-    void syncRmw(Addr addr,
-                 std::function<std::uint64_t(std::uint64_t)> modify,
-                 std::function<void(std::uint64_t)> done) override;
-    void execIo(std::function<void()> done) override;
+    void syncDone() override;
+    void syncLoad(Addr addr) override;
+    void syncStore(Addr addr, std::uint64_t value) override;
+    void syncRmw(Addr addr, RmwKind kind) override;
+    void execIo() override;
     void chargeInstrs(unsigned n) override;
 
   private:
@@ -294,8 +288,18 @@ class BulkProcessor : public ProcessorBase
     void onArbReply(const std::shared_ptr<ArbAttempt> &att,
                     bool granted);
 
-    /** Run @p fn with the current chunk, retrying while stalled. */
-    void withChunk(std::function<void(Chunk &)> fn);
+    /** Stages of the sync primitive in flight. */
+    enum class SyncStage : std::uint8_t
+    {
+        Load,  //!< add the line to R and send the read
+        Bind,  //!< the read returned: bind its value (and RMW store)
+        Store, //!< speculative store; retires the next cycle
+        Drain, //!< I/O: wait until every chunk has committed
+    };
+
+    /** Run stage @p s of the sync primitive in flight; retried every
+     *  10 cycles while no chunk is free (or, to drain, one is live). */
+    void syncStage(SyncStage s);
 
     BulkParams bprm;
     ArbiterIface &arb;
@@ -318,6 +322,11 @@ class BulkProcessor : public ProcessorBase
     Tick fetchAvail = 0;
     bool gapCharged = false;
     bool syncBusy = false;
+
+    /** Operands of the sync primitive in flight. */
+    Addr syncAddr = 0;
+    std::uint64_t syncValue = 0;          //!< a store's value
+    std::optional<RmwKind> syncRmwKind;   //!< set for an RMW's load
 
     PrivateBuffer privBuf;
 

@@ -14,6 +14,8 @@ LsqProcessor::LsqProcessor(EventQueue &eq, const std::string &name,
 {
     panic_if(row.loadPassesLoad && !row.loadPassesStore,
              "an out-of-order window retires stores into a buffer");
+    // Completion callbacks carry a 32-bit op index next to the epoch.
+    panic_if(trace.ops.size() > UINT32_MAX, "trace too long");
 }
 
 void
@@ -98,37 +100,41 @@ LsqProcessor::olderAccessPending() const
            (!row.storePassesStore && !storeBuffer.empty());
 }
 
-void
+bool
 LsqProcessor::bufferStore(std::size_t idx)
 {
     if (!row.storePassesStore) {
         storeBuffer.push_back(idx);
         drainStores();
-        return;
+        return false;
     }
     // Every store asks for ownership now and becomes visible when it
     // arrives. Only a store that carries a value has anything to
     // forward, so only such a store stays buffered while it waits.
     const Op &op = trace.ops[idx];
-    auto lat = mem.access(pid, op.addr, MemCmd::ReadEx, [this, idx] {
+    auto lat = mem.access(pid, op.addr, MemCmd::ReadEx,
+                          [this, idx = static_cast<std::uint32_t>(idx),
+                           e = epoch] {
         const Op &st = trace.ops[idx];
-        if (!st.tracked)
-            return;
-        mem.writeValue(st.addr, st.storeValue);
-        // Ownership of one address arrives in program order.
-        auto it = std::find_if(storeBuffer.begin(), storeBuffer.end(),
-                               [&](std::size_t i) {
-                                   return trace.ops[i].addr == st.addr;
-                               });
-        if (it != storeBuffer.end())
-            storeBuffer.erase(it);
+        if (st.tracked) {
+            mem.writeValue(st.addr, st.storeValue);
+            // Ownership of one address arrives in program order.
+            auto it = std::find_if(
+                storeBuffer.begin(), storeBuffer.end(),
+                [&](std::size_t i) {
+                    return trace.ops[i].addr == st.addr;
+                });
+            if (it != storeBuffer.end())
+                storeBuffer.erase(it);
+        }
+        if (row.squashOnViolation && completeEntry(idx, e))
+            advance();
     });
-    if (!op.tracked)
-        return;
-    if (lat)
+    if (op.tracked && lat)
         mem.writeValue(op.addr, op.storeValue);
-    else
+    else if (op.tracked)
         storeBuffer.push_back(idx);
+    return lat.has_value();
 }
 
 void
@@ -138,7 +144,7 @@ LsqProcessor::drainStores()
         return;
     drainInFlight = true;
     const std::size_t idx = storeBuffer.front();
-    auto fin = [this, idx] {
+    accessThen(trace.ops[idx].addr, MemCmd::ReadEx, [this, idx] {
         const Op &st = trace.ops[idx];
         if (st.tracked)
             mem.writeValue(st.addr, st.storeValue);
@@ -147,10 +153,22 @@ LsqProcessor::drainStores()
         drainInFlight = false;
         drainStores();
         advance(); // the front end may have stalled on a full buffer
-    };
-    auto lat = mem.access(pid, trace.ops[idx].addr, MemCmd::ReadEx, fin);
-    if (lat)
-        eventq.scheduleAfter(*lat, fin);
+    });
+}
+
+bool
+LsqProcessor::completeEntry(std::uint32_t idx, std::uint32_t e)
+{
+    // Completions for entries that survive a squash must still land
+    // or the window would wedge; the epoch keeps a pre-squash
+    // completion off the re-issued entry of the same op.
+    for (WinEntry &w : window) {
+        if (w.opIdx == idx && w.epoch == e) {
+            w.completed = true;
+            return true;
+        }
+    }
+    return false;
 }
 
 void
@@ -159,17 +177,12 @@ LsqProcessor::issueToWindow(const Op &op)
     const std::size_t idx = pos;
     const LineAddr line = lineOf(op.addr, prm.lineBytes);
     if (op.type == OpType::Load) {
-        window.push_back({idx, line, false});
-        // No epoch guard: completions for entries that survive a
-        // squash must still land or the window would wedge. A
-        // pre-squash completion also marks a re-issued entry of the
-        // same op completed.
+        window.push_back({idx, line, false, epoch});
         auto lat = mem.access(pid, op.addr, MemCmd::Read,
-                              [this, idx] {
-                                  for (WinEntry &w : window) {
-                                      if (w.opIdx == idx)
-                                          w.completed = true;
-                                  }
+                              [this, idx = static_cast<std::uint32_t>(idx),
+                               e = epoch] {
+                                  if (!completeEntry(idx, e))
+                                      return;
                                   const Op &o = trace.ops[idx];
                                   if (o.aux != kNoSlot)
                                       recordLoad(o, forwardedValue(o.addr));
@@ -182,10 +195,14 @@ LsqProcessor::issueToWindow(const Op &op)
                 recordLoad(op, forwardedValue(op.addr));
         }
     } else {
-        // Stores never block: they complete in the window as they
-        // retire into the store buffer.
-        window.push_back({idx, line, true});
-        bufferStore(idx);
+        // Stores never block: they retire into the store buffer. Where
+        // a violation squashes, the entry completes only once
+        // ownership arrives, so younger loads that performed meanwhile
+        // stay in the window, open to squash; otherwise it completes
+        // now.
+        const bool owned = bufferStore(idx);
+        window.push_back({idx, line, owned || !row.squashOnViolation,
+                          epoch});
     }
     ++pos;
     gapCharged = false;
@@ -240,12 +257,7 @@ LsqProcessor::advance()
                 return;
             }
             busy = true;
-            execSync(op, [this, &op] {
-                busy = false;
-                performTick = curTick();
-                retireAndStep(op);
-                advance();
-            });
+            execSync(pos);
             return;
         }
 
@@ -288,6 +300,15 @@ LsqProcessor::advance()
         performTick = start + *lat;
         performChained(op);
     }
+}
+
+void
+LsqProcessor::syncDone()
+{
+    busy = false;
+    performTick = curTick();
+    retireAndStep(trace.ops[sync.opIdx]);
+    advance();
 }
 
 void

@@ -84,6 +84,7 @@ class LsqProcessor : public ProcessorBase
 
   protected:
     void advance() override;
+    void syncDone() override;
 
   private:
     /** An op in the out-of-order window. */
@@ -92,7 +93,12 @@ class LsqProcessor : public ProcessorBase
         std::size_t opIdx;
         LineAddr line;
         bool completed;
+        std::uint32_t epoch; //!< squash epoch the entry was issued in
     };
+
+    /** Mark op @p idx's entry from epoch @p e completed.
+     *  @return false if a squash dropped it. */
+    bool completeEntry(std::uint32_t idx, std::uint32_t e);
 
     void issuePrefetches();
 
@@ -111,8 +117,9 @@ class LsqProcessor : public ProcessorBase
     /** Issue must stall on the window or ROB limit. */
     bool windowFull() const;
 
-    /** Retire store @p idx into the store buffer. */
-    void bufferStore(std::size_t idx);
+    /** Retire store @p idx into the store buffer.
+     *  @return true if it performed at once (ownership was held). */
+    bool bufferStore(std::size_t idx);
 
     /** FIFO buffer: start draining the head store. */
     void drainStores();

@@ -59,8 +59,6 @@ ProcessorBase::markFinished()
         return;
     finishedFlag = true;
     finishTick_ = curTick() > fetchTick ? curTick() : fetchTick;
-    if (onFinished)
-        onFinished();
 }
 
 void
@@ -72,177 +70,135 @@ ProcessorBase::chargeInstrs(unsigned n)
 }
 
 void
-ProcessorBase::execIo(std::function<void()> done)
+ProcessorBase::execIo()
 {
-    eventq.scheduleAfter(prm.ioLatency, std::move(done));
+    eventq.scheduleAfter(prm.ioLatency,
+                         [this, e = epoch] { syncStep(e, 0); });
 }
 
 void
-ProcessorBase::syncLoad(Addr addr,
-                        std::function<void(std::uint64_t)> done)
+ProcessorBase::syncLoad(Addr addr)
 {
-    auto lat = mem.access(pid, addr, MemCmd::Read, [this, addr, done] {
-        done(mem.readValue(addr));
+    accessThen(addr, MemCmd::Read, [this, addr, e = epoch] {
+        syncStep(e, mem.readValue(addr));
     });
-    if (lat) {
-        eventq.scheduleAfter(*lat, [this, addr, done] {
-            done(mem.readValue(addr));
-        });
-    }
 }
 
 void
-ProcessorBase::syncStore(Addr addr, std::uint64_t value,
-                         std::function<void()> done)
+ProcessorBase::syncStore(Addr addr, std::uint64_t value)
 {
-    auto lat =
-        mem.access(pid, addr, MemCmd::ReadEx, [this, addr, value, done] {
-            mem.writeValue(addr, value);
-            done();
-        });
-    if (lat) {
-        eventq.scheduleAfter(*lat, [this, addr, value, done] {
-            mem.writeValue(addr, value);
-            done();
-        });
-    }
+    accessThen(addr, MemCmd::ReadEx, [this, addr, value, e = epoch] {
+        mem.writeValue(addr, value);
+        syncStep(e, 0);
+    });
 }
 
 void
-ProcessorBase::syncRmw(
-    Addr addr, std::function<std::uint64_t(std::uint64_t)> modify,
-    std::function<void(std::uint64_t)> done)
+ProcessorBase::syncRmw(Addr addr, RmwKind kind)
 {
-    auto fin = [this, addr, modify, done] {
+    accessThen(addr, MemCmd::ReadEx, [this, addr, kind, e = epoch] {
         std::uint64_t old = mem.readValue(addr);
-        std::uint64_t next = modify(old);
+        std::uint64_t next = rmwResult(kind, old);
         if (next != old)
             mem.writeValue(addr, next);
-        done(old);
-    };
-    auto lat = mem.access(pid, addr, MemCmd::ReadEx, fin);
-    if (lat)
-        eventq.scheduleAfter(*lat, fin);
+        syncStep(e, old);
+    });
 }
 
 void
-ProcessorBase::execSync(const Op &op, std::function<void()> done)
+ProcessorBase::execSync(std::size_t idx)
 {
-    // A squash (epoch bump) abandons any in-flight sync chain; the
-    // re-executed op starts a fresh one.
-    const std::uint64_t e = epoch;
+    sync = SyncRecord{idx, 0, 0, epoch};
+    syncIssue();
+}
+
+void
+ProcessorBase::syncIssue()
+{
+    // Centralized barrier: count word at op.addr, generation word one
+    // line above.
+    const Op &op = trace.ops[sync.opIdx];
     switch (op.type) {
-      case OpType::Acquire: {
-        // Test-and-set with exponential backoff; atomicity comes from
-        // the model's syncRmw primitive.
-        // The stored function must not own itself (a shared_ptr
-        // cycle never frees): it captures a weak_ptr, and each
-        // in-flight continuation carries the strong reference.
-        auto attempt = std::make_shared<std::function<void()>>();
-        auto attempts = std::make_shared<unsigned>(0);
-        Addr lock = op.addr;
-        std::weak_ptr<std::function<void()>> wattempt = attempt;
-        *attempt = [this, e, lock, done, wattempt, attempts] {
-            if (epoch != e)
-                return;
-            auto self = wattempt.lock();
-            syncRmw(
-                lock,
-                [](std::uint64_t v) {
-                    return v == 0 ? std::uint64_t{1} : v;
-                },
-                [this, e, done, self,
-                 attempts](std::uint64_t old) {
-                    if (epoch != e)
-                        return;
-                    if (old == 0) {
-                        done();
-                        return;
-                    }
-                    ++*attempts;
-                    chargeInstrs(prm.spinLoopInstrs);
-                    unsigned factor =
-                        *attempts < 8 ? *attempts : 8;
-                    eventq.scheduleAfter(prm.spinPoll * factor,
-                                         [self] { (*self)(); });
-                });
-        };
-        (*attempt)();
+      case OpType::Acquire:
+        // Test-and-set; atomicity comes from the model's syncRmw.
+        syncRmw(op.addr, RmwKind::TestAndSet);
         return;
-      }
       case OpType::Release:
-        syncStore(op.addr, 0, std::move(done));
+        syncStore(op.addr, 0);
         return;
-      case OpType::BarrierArrive: {
-        // Centralized barrier: count word at op.addr, generation word
-        // one line above. The last arriver resets the count and
-        // publishes generation = barrier index + 1 (idempotent under
-        // chunk re-execution).
-        Addr count_addr = op.addr;
-        Addr gen_addr = op.addr + prm.lineBytes;
-        std::uint64_t gen_val = op.aux + 1;
-        unsigned total = prm.numBarrierProcs;
-        syncRmw(
-            count_addr,
-            [](std::uint64_t v) { return v + 1; },
-            [this, e, count_addr, gen_addr, gen_val, total,
-             done](std::uint64_t old) {
-                if (epoch != e)
-                    return;
-                EVENT_TRACE(TraceEventType::BarrierArrive, curTick(),
-                            trackProc(pid), 0, old + 1);
-                if (old + 1 == total) {
-                    syncStore(count_addr, 0,
-                              [this, e, gen_addr, gen_val, done] {
-                                  if (epoch != e)
-                                      return;
-                                  syncStore(gen_addr, gen_val, done);
-                              });
-                } else {
-                    done();
-                }
-            });
+      case OpType::BarrierArrive:
+        if (sync.phase == 0)
+            syncRmw(op.addr, RmwKind::Increment);
+        else if (sync.phase == 1)
+            syncStore(op.addr, 0);
+        else
+            syncStore(op.addr + prm.lineBytes, op.aux + 1);
         return;
-      }
-      case OpType::BarrierWait: {
-        Addr gen_addr = op.addr + prm.lineBytes;
-        std::uint64_t want = op.aux + 1;
-        // Weak self-capture, as in Acquire above.
-        auto poll = std::make_shared<std::function<void()>>();
-        std::weak_ptr<std::function<void()>> wpoll = poll;
-        *poll = [this, e, gen_addr, want, done, wpoll] {
-            if (epoch != e)
-                return;
-            auto self = wpoll.lock();
-            syncLoad(gen_addr,
-                     [this, e, want, done, self](std::uint64_t v) {
-                         if (epoch != e)
-                             return;
-                         if (v >= want) {
-                             done();
-                             return;
-                         }
-                         chargeInstrs(prm.spinLoopInstrs);
-                         eventq.scheduleAfter(prm.spinPoll,
-                                              [self] { (*self)(); });
-                     });
-        };
-        (*poll)();
+      case OpType::BarrierWait:
+        syncLoad(op.addr + prm.lineBytes);
         return;
-      }
       case OpType::Io:
-        execIo(std::move(done));
+        execIo();
         return;
       case OpType::TxBegin:
       case OpType::TxEnd:
         // Baselines have no transactional support: the markers are
         // no-ops (the BulkSC models intercept them before execSync
         // and align chunk boundaries to them).
-        done();
+        syncDone();
         return;
       default:
         panic("execSync called with non-sync op");
     }
+}
+
+void
+ProcessorBase::syncStep(std::uint32_t e, std::uint64_t value)
+{
+    if (epoch != e)
+        return;
+    const Op &op = trace.ops[sync.opIdx];
+    switch (op.type) {
+      case OpType::Acquire:
+        if (value == 0)
+            break;
+        // Lock held: exponential backoff, then test-and-set again.
+        ++sync.attempts;
+        syncSpin(prm.spinPoll * (sync.attempts < 8 ? sync.attempts : 8));
+        return;
+      case OpType::BarrierArrive:
+        if (sync.phase == 0) {
+            EVENT_TRACE(TraceEventType::BarrierArrive, curTick(),
+                        trackProc(pid), 0, value + 1);
+        }
+        // The last arriver resets the count, then publishes generation
+        // = barrier index + 1 (idempotent under chunk re-execution).
+        if (sync.phase == 1 ||
+            (sync.phase == 0 && value + 1 == prm.numBarrierProcs)) {
+            ++sync.phase;
+            syncIssue();
+            return;
+        }
+        break;
+      case OpType::BarrierWait:
+        if (value >= op.aux + 1)
+            break;
+        syncSpin(prm.spinPoll); // generation not yet published
+        return;
+      default:
+        break;
+    }
+    syncDone();
+}
+
+void
+ProcessorBase::syncSpin(Tick backoff)
+{
+    chargeInstrs(prm.spinLoopInstrs);
+    eventq.scheduleAfter(backoff, [this, e = sync.epoch] {
+        if (epoch == e)
+            syncIssue();
+    });
 }
 
 std::uint64_t

@@ -29,9 +29,12 @@ namespace bulksc {
 class InlineCallback
 {
   public:
-    /** Inline capture budget; the simulator's largest hot-path lambda
-     *  (io-drain retry: this + std::function + weak_ptr + epoch) is
-     *  exactly 64 bytes. */
+    /** Inline capture budget. Processor, sync-engine and memory-request
+     *  events (this, an epoch and a few scalars) take at most 32 bytes,
+     *  and the largest closures that fit (an arbiter reply, a directory
+     *  commit step) 40. Arbiter decisions and the commit fan-out carry
+     *  several std::function or shared_ptr captures and take the heap
+     *  cell. */
     static constexpr std::size_t kInlineBytes = 64;
 
     InlineCallback() noexcept = default;

@@ -172,8 +172,10 @@ TEST(BulkProcessor, PrivateBufferSuppliesOldVersionOnExternalRead)
     // P0 makes a line dirty (commit), then speculatively rewrites it
     // (dypvt -> Private Buffer); P1 reads it while P0's chunk is
     // live: the external access must hit Wpriv and be counted, and
-    // P1 must observe the old (committed) value.
-    const Addr x = 0x9000'0200;
+    // P1 must observe the old (committed) value. The line goes back
+    // into W, so the rewrite's commit must reach the line's home
+    // directory module (module 1 of 2) and invalidate P1's copy.
+    const Addr x = 0x9000'8200;
     std::vector<Op> p0 = {
         store(x, 1, 1),
         load(0x2000, 1100), // chunk 1 ends; x will be committed dirty
@@ -186,14 +188,17 @@ TEST(BulkProcessor, PrivateBufferSuppliesOldVersionOnExternalRead)
     cfg.model = Model::BSCdypvt;
     cfg.numProcs = 2;
     cfg.warmCaches = false;
+    cfg.mem.numDirectories = 2;
     System sys(cfg, {makeTrace(p0), makeTrace(p1)});
+    ASSERT_EQ(sys.memory().dirOf(lineOf(x)), 1u);
     Results r = sys.run(10'000'000);
     ASSERT_TRUE(r.completed);
     const BulkStats &bs = bulkStatsOf(sys, 0);
-    if (bs.privBufferSupplies > 0) {
-        // The external read arrived while the rewrite was live.
-        EXPECT_EQ(r.loadResults[1][0], 1u);
-    }
+    ASSERT_GT(bs.privBufferSupplies, 0u);
+    // The external read arrived while the rewrite was live.
+    EXPECT_EQ(r.loadResults[1][0], 1u);
+    EXPECT_EQ(sys.memory().readValue(x), 2u);
+    EXPECT_FALSE(sys.memory().l1Contains(1, lineOf(x)));
     EXPECT_GT(bs.wprivSizeSum, 0.0);
 }
 

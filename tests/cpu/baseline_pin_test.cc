@@ -37,9 +37,9 @@ constexpr Pin kPins[] = {
     {"RC", "ocean", 42940, 491751, 0, 0, 33236, 23480},
     {"RC", "radiosity", 30190, 480016, 0, 0, 13335, 10794},
     {"RC", "sjbb2k", 43507, 480035, 0, 0, 37978, 28977},
-    {"SC++", "ocean", 43051, 491711, 1951, 28, 33380, 23569},
-    {"SC++", "radiosity", 31033, 480024, 0, 0, 13338, 10806},
-    {"SC++", "sjbb2k", 45133, 480035, 1094, 15, 38160, 29046},
+    {"SC++", "ocean", 44715, 493911, 1815, 26, 33351, 23560},
+    {"SC++", "radiosity", 31576, 480032, 0, 0, 13332, 10810},
+    {"SC++", "sjbb2k", 47000, 480027, 796, 11, 38100, 29021},
 };
 
 TEST(BaselinePin, ExactStatsOnThreeApps)

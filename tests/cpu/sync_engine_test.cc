@@ -165,24 +165,10 @@ TEST_P(SyncModels, ContendedLockSerializesCriticalSections)
     EXPECT_EQ(sys.memory().readValue(lock), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Models, SyncModels,
-                         ::testing::Values(Model::SC, Model::TSO,
-                                           Model::RC, Model::SCpp,
-                                           Model::BSCbase,
-                                           Model::BSCdypvt,
-                                           Model::BSCexact),
-                         [](const auto &info) {
-                             std::string n = modelName(info.param);
-                             for (auto &c : n) {
-                                 if (!isalnum(static_cast<unsigned char>(c)))
-                                     c = '_';
-                             }
-                             return n;
-                         });
-
-TEST(SyncEngine, SpinInstructionsAreCharged)
+TEST_P(SyncModels, SpinInstructionsAreCharged)
 {
-    // A waiter that spins on a barrier charges spin instructions.
+    // A waiter that spins on a barrier charges spin instructions, and
+    // each of them retires once: retired minus spin is the trace.
     auto fast = [&] {
         std::vector<Op> ops;
         Op arrive;
@@ -211,14 +197,34 @@ TEST(SyncEngine, SpinInstructionsAreCharged)
         return makeTrace(ops);
     };
     MachineConfig cfg;
-    cfg.model = Model::RC;
+    cfg.model = GetParam();
     cfg.numProcs = 2;
     cfg.cpu.numBarrierProcs = 2;
-    System sys(cfg, {fast(), slow()});
+    std::vector<Trace> traces = {fast(), slow()};
+    const std::uint64_t fast_instrs = traces[0].totalInstrs();
+    System sys(cfg, std::move(traces));
     Results r = sys.run(50'000'000);
     ASSERT_TRUE(r.completed);
-    EXPECT_GT(sys.processor(0).spinInstrs(), 0u);
+    const ProcessorBase &cpu = sys.processor(0);
+    EXPECT_GT(cpu.spinInstrs(), 0u);
+    EXPECT_EQ(cpu.retiredInstrs() - cpu.spinInstrs(), fast_instrs);
 }
+
+INSTANTIATE_TEST_SUITE_P(Models, SyncModels,
+                         ::testing::Values(Model::SC, Model::TSO,
+                                           Model::RC, Model::SCpp,
+                                           Model::BSCbase,
+                                           Model::BSCdypvt,
+                                           Model::BSCstpvt,
+                                           Model::BSCexact),
+                         [](const auto &info) {
+                             std::string n = modelName(info.param);
+                             for (auto &c : n) {
+                                 if (!isalnum(static_cast<unsigned char>(c)))
+                                     c = '_';
+                             }
+                             return n;
+                         });
 
 } // namespace
 } // namespace bulksc

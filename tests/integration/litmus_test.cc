@@ -59,7 +59,8 @@ TEST_P(ScModels, AllLitmusOutcomesAreSequentiallyConsistent)
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, ScModels,
-                         ::testing::Values(Model::SC, Model::BSCbase,
+                         ::testing::Values(Model::SC, Model::SCpp,
+                                           Model::BSCbase,
                                            Model::BSCdypvt,
                                            Model::BSCstpvt,
                                            Model::BSCexact),

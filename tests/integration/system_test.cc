@@ -23,9 +23,10 @@ runApp(Model m, const char *app, unsigned procs = 8,
 }
 
 /**
- * Run @p p under @p m and check it completes. A baseline must also
- * retire every trace instruction exactly once: a rollback may never
- * re-execute an op that has already performed.
+ * Run @p p under @p m and check it completes, retiring every trace
+ * instruction exactly once: a baseline rollback may never re-execute
+ * an op that has already performed, and a spin instruction charged to
+ * a chunk retires at its commit only.
  */
 void
 expectCompletesExactly(Model m, const AppProfile &p, unsigned procs,
@@ -43,8 +44,6 @@ expectCompletesExactly(Model m, const AppProfile &p, unsigned procs,
     const std::string where = p.name + " under " + modelName(m);
     EXPECT_TRUE(r.completed) << where;
     EXPECT_GT(r.stats.get("cpu.retired_instrs"), 0.0) << where;
-    if (isBulk(m))
-        return;
     for (unsigned i = 0; i < sys.numProcs(); ++i) {
         const ProcessorBase &cpu = sys.processor(i);
         EXPECT_EQ(cpu.retiredInstrs() - cpu.spinInstrs(), total[i])
