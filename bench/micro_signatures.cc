@@ -3,7 +3,8 @@
  * Microbenchmarks (google-benchmark) of the signature primitive
  * operations of the paper's Figure 2: insertion, membership,
  * intersection, union, decode, and compression — the operations the
- * BDM, arbiter, and DirBDM perform on every access/commit.
+ * BDM, arbiter, and DirBDM perform on every access/commit — plus the
+ * construction and copy that every chunk and commit pays.
  */
 
 #include <benchmark/benchmark.h>
@@ -87,6 +88,26 @@ BM_SignatureUnion(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SignatureUnion);
+
+/**
+ * What a chunk, an arbiter request and a commit pay per signature:
+ * construct an empty one (the index tables are shared per geometry,
+ * so this allocates only the bit array) and copy it. Arg 0 keeps the
+ * exact mirror off, as plain timing runs do; arg 1 turns it on.
+ */
+void
+BM_SignatureConstructAndCopy(benchmark::State &state)
+{
+    SignatureConfig cfg;
+    cfg.trackExact = state.range(0) != 0;
+    for (auto _ : state) {
+        Signature s(cfg);
+        s.insert(42);
+        Signature c = s;
+        benchmark::DoNotOptimize(c.contains(42));
+    }
+}
+BENCHMARK(BM_SignatureConstructAndCopy)->Arg(0)->Arg(1);
 
 void
 BM_SignatureDecode(benchmark::State &state)

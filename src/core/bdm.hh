@@ -72,6 +72,76 @@ class PrivateBuffer
 };
 
 /**
+ * The distinct lines that live chunks hold speculatively (in W or
+ * Wpriv), grouped by L1 set: the state behind the way-overflow rule of
+ * Section 4.1.2. Each (chunk, W or Wpriv) membership of a line is one
+ * reference, so a line written by two live chunks, or in both W and
+ * Wpriv, occupies one way until its last reference is released.
+ */
+class SpecWays
+{
+  public:
+    explicit SpecWays(std::uint64_t num_sets) : sets(num_sets) {}
+
+    /** One more chunk set holds @p l. */
+    void
+    add(LineAddr l)
+    {
+        auto &set = sets[l % sets.size()];
+        for (Entry &e : set) {
+            if (e.line == l) {
+                ++e.refs;
+                return;
+            }
+        }
+        set.push_back({l, 1});
+    }
+
+    /** One chunk set fewer holds @p l. */
+    void
+    release(LineAddr l)
+    {
+        auto &set = sets[l % sets.size()];
+        for (Entry &e : set) {
+            if (e.line == l) {
+                if (--e.refs == 0) {
+                    e = set.back();
+                    set.pop_back();
+                }
+                return;
+            }
+        }
+    }
+
+    /** True iff some live chunk holds @p l speculatively. */
+    bool
+    holds(LineAddr l) const
+    {
+        for (const Entry &e : sets[l % sets.size()]) {
+            if (e.line == l)
+                return true;
+        }
+        return false;
+    }
+
+    /** Distinct speculative lines in @p l's L1 set. */
+    std::size_t
+    linesInSet(LineAddr l) const
+    {
+        return sets[l % sets.size()].size();
+    }
+
+  private:
+    struct Entry
+    {
+        LineAddr line;
+        unsigned refs;
+    };
+
+    std::vector<std::vector<Entry>> sets;
+};
+
+/**
  * One in-flight chunk: a dynamically-built group of consecutive
  * instructions executing speculatively with its own signature set and
  * checkpoint (Section 4.1).
@@ -114,22 +184,6 @@ struct Chunk
      */
     std::unordered_set<LineAddr> wLines;
     std::unordered_set<LineAddr> wprivLines;
-
-    /** Insert into W and its exact line set. */
-    void
-    addW(LineAddr l)
-    {
-        w.insert(l);
-        wLines.insert(l);
-    }
-
-    /** Insert into Wpriv and its exact line set. */
-    void
-    addWpriv(LineAddr l)
-    {
-        wpriv.insert(l);
-        wprivLines.insert(l);
-    }
 
     /** Speculative values written by this chunk (tracked addrs). */
     std::unordered_map<Addr, std::uint64_t> specValues;

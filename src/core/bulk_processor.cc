@@ -14,8 +14,9 @@ BulkProcessor::BulkProcessor(EventQueue &eq, const std::string &name,
                              const BulkParams &bulk_params,
                              ArbiterIface &arb_)
     : ProcessorBase(eq, name, pid, mem, trace, cpu_params),
-      bprm(bulk_params), arb(arb_), nextChunkTarget(bprm.chunkSize),
-      privBuf(bprm.privBufferEntries)
+      bprm(bulk_params), arb(arb_),
+      specWays(mem.params().l1.numSets()),
+      nextChunkTarget(bprm.chunkSize), privBuf(bprm.privBufferEntries)
 {}
 
 Chunk *
@@ -167,31 +168,31 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
     LineAddr line = lineOf(addr, prm.lineBytes);
 
     if (bprm.statPrivOpt && stack_ref) {
-        c.addWpriv(line);
+        addWpriv(c, line);
     } else if (mem.l1State(pid, line) == LineState::Dirty &&
                !anyLiveW(line)) {
         // The line is dirty non-speculative: its current contents are
         // committed state that a squash must not destroy.
         if (bprm.dynPrivOpt) {
             if (anyLiveWpriv(line)) {
-                c.addWpriv(line);
+                addWpriv(c, line);
             } else if (privBuf.insert(line)) {
                 c.privBufLines.push_back(line);
-                c.addWpriv(line);
+                addWpriv(c, line);
             } else {
                 ++bstats.privBufferOverflows;
                 mem.writebackLine(pid, line);
-                c.addW(line);
+                addW(c, line);
             }
         } else {
             // BSCbase: write the old version back to memory, then
             // treat the write as ordinary speculative state.
             ++bstats.baseWritebacks;
             mem.writebackLine(pid, line);
-            c.addW(line);
+            addW(c, line);
         }
     } else {
-        c.addW(line);
+        addW(c, line);
     }
 
     if (tracked)
@@ -224,33 +225,40 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
                        advance();
                    });
     }
-
-    // Keep the chunk from growing past the point where the next
-    // speculative line could not be held (Section 4.1.2).
-    if (wouldOverflowSet(line))
-        c.endReached = true;
 }
 
 bool
 BulkProcessor::wouldOverflowSet(LineAddr line) const
 {
-    const unsigned assoc = mem.params().l1.assoc;
-    const std::uint64_t num_sets = mem.params().l1.numSets();
-    std::unordered_set<LineAddr> set_lines;
-    for (const auto &ch : chunks) {
-        for (LineAddr l : ch->wLines) {
-            if (l % num_sets == line % num_sets)
-                set_lines.insert(l);
-        }
-        for (LineAddr l : ch->wprivLines) {
-            if (l % num_sets == line % num_sets)
-                set_lines.insert(l);
-        }
-    }
     // Re-writing an already-speculative line needs no new way.
-    if (set_lines.count(line))
+    if (specWays.holds(line))
         return false;
-    return set_lines.size() >= assoc - 1;
+    return specWays.linesInSet(line) >= mem.params().l1.assoc - 1;
+}
+
+void
+BulkProcessor::addW(Chunk &c, LineAddr l)
+{
+    c.w.insert(l);
+    if (c.wLines.insert(l).second)
+        specWays.add(l);
+}
+
+void
+BulkProcessor::addWpriv(Chunk &c, LineAddr l)
+{
+    c.wpriv.insert(l);
+    if (c.wprivLines.insert(l).second)
+        specWays.add(l);
+}
+
+void
+BulkProcessor::releaseSpecLines(const Chunk &c)
+{
+    for (LineAddr l : c.wLines)
+        specWays.release(l);
+    for (LineAddr l : c.wprivLines)
+        specWays.release(l);
 }
 
 void
@@ -597,6 +605,7 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
 
     // The chunk dies with pop_front; its exact write lines outlive it
     // just long enough to pick the directories W must visit.
+    releaseSpecLines(*c);
     std::unordered_set<LineAddr> w_lines = std::move(c->wLines);
     chunks.pop_front();
     consecutiveSquashes = 0;
@@ -781,6 +790,8 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
     std::uint64_t cut = chunks[idx]->seq;
     while (!window.empty() && window.back().chunkSeq >= cut)
         window.pop_back();
+    for (std::size_t j = idx; j < chunks.size(); ++j)
+        releaseSpecLines(*chunks[j]);
     chunks.erase(chunks.begin() + static_cast<long>(idx), chunks.end());
 
     ++epoch;
@@ -845,7 +856,7 @@ BulkProcessor::onExternalOwnerFetch(LineAddr line)
             // version from the Private Buffer and add the address back
             // to W so the commit publishes it (Section 5.2).
             ++bstats.privBufferSupplies;
-            c->addW(line);
+            addW(*c, line);
             return;
         }
     }

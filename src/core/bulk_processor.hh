@@ -233,12 +233,19 @@ class BulkProcessor : public ProcessorBase
      */
     bool wouldOverflowSet(LineAddr line) const;
 
+    /** Insert @p l into @p c's W (or Wpriv) and its exact line set. */
+    void addW(Chunk &c, LineAddr l);
+    void addWpriv(Chunk &c, LineAddr l);
+
+    /** Drop @p c's speculative lines from specWays (the chunk is
+     *  leaving the live list). */
+    void releaseSpecLines(const Chunk &c);
+
     /** Shared load bookkeeping (R signature, forwarding log). */
     void loadToChunk(Chunk &c, LineAddr line, bool stack_ref);
 
     /** Shared store bookkeeping: W / Wpriv classification, Private
-     *  Buffer, base-protocol writeback, presence request, overflow
-     *  check. */
+     *  Buffer, base-protocol writeback, presence request. */
     void storeToChunk(Chunk &c, Addr addr, bool stack_ref, bool tracked,
                       std::uint64_t value);
 
@@ -306,6 +313,10 @@ class BulkProcessor : public ProcessorBase
     std::optional<ResendConfig> resend; //!< set iff hardened
 
     std::deque<std::unique_ptr<Chunk>> chunks;
+
+    /** Speculative lines of the live chunks, per L1 set. */
+    SpecWays specWays;
+
     std::uint64_t nextSeq = 0;
     unsigned nextChunkTarget;
     unsigned consecutiveSquashes = 0;

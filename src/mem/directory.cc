@@ -22,7 +22,14 @@ void
 Directory::eraseEntry(LineAddr line)
 {
     entries.erase(line);
-    buckets[bucketOf(line)].erase(line);
+    std::vector<LineAddr> &bucket = buckets[bucketOf(line)];
+    for (LineAddr &l : bucket) {
+        if (l == line) {
+            l = bucket.back();
+            bucket.pop_back();
+            return;
+        }
+    }
 }
 
 DirEntry &
@@ -56,7 +63,7 @@ Directory::getOrCreate(LineAddr line,
     }
 
     DirEntry &e = entries[line];
-    buckets[bucketOf(line)].insert(line);
+    buckets[bucketOf(line)].push_back(line);
     if (maxEntries)
         fifo.push_back(line);
     return e;

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "signature/signature.hh"
@@ -152,8 +151,10 @@ class Directory
     std::unordered_map<LineAddr, DirEntry> entries;
 
     /** Lines bucketed by signature bank-0 index: the hardware analogue
-     *  is the delta-decode directed tag probe of signature expansion. */
-    std::vector<std::unordered_set<LineAddr>> buckets;
+     *  is the delta-decode directed tag probe of signature expansion.
+     *  Unordered (erase swaps in the last line): expansion's results
+     *  do not depend on the order it visits candidates. */
+    std::vector<std::vector<LineAddr>> buckets;
 
     /** FIFO order for directory-cache displacement. */
     std::vector<LineAddr> fifo;

@@ -1,11 +1,139 @@
 #include "signature/signature.hh"
 
 #include <bit>
+#include <compare>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace bulksc {
+
+namespace {
+
+/**
+ * The reference bank index (Figure 2(a)): the line address bits are
+ * shuffled once, then sliced into one index per bank. Bank 0 keeps the
+ * identity low-order bits so the decode operation can map set bits
+ * back to cache sets. Because banks are *slices of one permuted
+ * address* — not independent hashes — structured address sets alias
+ * realistically, as in the paper's evaluation. Evaluated only to fill
+ * the lookup tables.
+ */
+class ReferenceIndex
+{
+  public:
+    explicit ReferenceIndex(const SignatureConfig &cfg)
+        : idxBits(floorLog2(cfg.bitsPerBank())), numBanks(cfg.numBanks)
+    {
+        const unsigned total_src = idxBits * numBanks;
+        permute.resize(total_src);
+        for (unsigned i = 0; i < total_src; ++i)
+            permute[i] = static_cast<std::uint8_t>(i);
+        Rng rng(cfg.hashSeed);
+        for (unsigned i = total_src - 1; i > idxBits; --i) {
+            // Leave bank 0's slice (positions 0..idxBits-1) in place.
+            unsigned j = static_cast<unsigned>(
+                idxBits + rng.below(i - idxBits + 1));
+            std::swap(permute[i], permute[j]);
+        }
+    }
+
+    std::uint32_t
+    operator()(unsigned bank, LineAddr line) const
+    {
+        const std::uint32_t mask = (std::uint32_t{1} << idxBits) - 1;
+        // The last bank XOR-folds two slices: well distributed for
+        // diverse address mixes, but still correlated for strided/
+        // structured sets — which is what produces the realistic
+        // signature aliasing of the paper's evaluation (radix most of
+        // all). MachineConfig::validate rejects the geometries whose
+        // 4-bit rotation is undefined (idxBits < 4) and those with no
+        // index bits, whose shuffle above would divide by zero.
+        if (bank == numBanks - 1 && numBanks >= 3) {
+            std::uint32_t a = slice(bank, line);
+            std::uint32_t b = slice(1, line);
+            return (a ^ ((b << 4) | (b >> (idxBits - 4)))) & mask;
+        }
+        return slice(bank, line);
+    }
+
+  private:
+    std::uint32_t
+    slice(unsigned bank, LineAddr line) const
+    {
+        // The hardware hashes a finite slice of the line address (30
+        // bits here, a 32 GB reach); higher-order bits are not covered
+        // — address sets that differ only there are indistinguishable
+        // to the signature (one source of the paper's aliasing).
+        std::uint32_t idx = 0;
+        for (unsigned j = 0; j < idxBits; ++j) {
+            unsigned src = permute[bank * idxBits + j] % 30;
+            idx |= static_cast<std::uint32_t>((line >> src) & 1) << j;
+        }
+        return idx;
+    }
+
+    unsigned idxBits;
+    unsigned numBanks;
+
+    /** Bit permutation: slot -> source bit of the line address. */
+    std::vector<std::uint8_t> permute;
+};
+
+/** Geometry that determines the index function. */
+struct TableKey
+{
+    std::uint64_t hashSeed;
+    unsigned totalBits;
+    unsigned numBanks;
+
+    auto operator<=>(const TableKey &) const = default;
+};
+
+/**
+ * The index tables of @p cfg's geometry, built on first use and kept
+ * for the life of the process. The reference index is linear over XOR
+ * (each output bit is one source bit, or the XOR of two), so the index
+ * of a line is the XOR of the indices of its four low-order bytes.
+ * Construction is cheap on the hot path: each thread remembers the
+ * last geometry it asked for; other lookups take the cache's mutex.
+ */
+const std::uint32_t *
+sharedIndexTables(const SignatureConfig &cfg)
+{
+    const TableKey key{cfg.hashSeed, cfg.totalBits, cfg.numBanks};
+    thread_local TableKey lastKey{};
+    thread_local const std::uint32_t *last = nullptr;
+    if (last && key == lastKey)
+        return last;
+
+    static std::mutex mtx;
+    static std::map<TableKey, std::unique_ptr<std::uint32_t[]>> cache;
+    std::lock_guard<std::mutex> lock(mtx);
+    auto &tables = cache[key];
+    if (!tables) {
+        const ReferenceIndex ref(cfg);
+        tables = std::make_unique<std::uint32_t[]>(
+            std::size_t{cfg.numBanks} * 4 * 256);
+        for (unsigned b = 0; b < cfg.numBanks; ++b) {
+            std::uint32_t *t = tables.get() + std::size_t{b} * 4 * 256;
+            for (unsigned byte = 0; byte < 4; ++byte) {
+                for (unsigned v = 0; v < 256; ++v) {
+                    t[byte * 256 + v] =
+                        ref(b, LineAddr{v} << (8 * byte));
+                }
+            }
+        }
+    }
+    lastKey = key;
+    last = tables.get();
+    return last;
+}
+
+} // namespace
 
 Signature::Signature(const SignatureConfig &c)
     : cfg(c)
@@ -15,62 +143,12 @@ Signature::Signature(const SignatureConfig &c)
              "totalBits must be divisible by numBanks");
     panic_if(!isPowerOf2(cfg.bitsPerBank()),
              "bits per bank must be a power of two");
+    panic_if(cfg.bitsPerBank() < 2, "bits per bank must be at least 2");
+    panic_if(cfg.numBanks >= 3 && cfg.bitsPerBank() < 16,
+             "the last bank's fold needs at least 16 bits per bank");
     wordsPerBank = (cfg.bitsPerBank() + 63) / 64;
     bits.assign(std::size_t{cfg.numBanks} * wordsPerBank, 0);
-
-    // Build the bit permutation (Figure 2(a)): the line address bits
-    // are shuffled once, then sliced into one index per bank. Bank 0
-    // keeps the identity low-order bits so the decode operation can
-    // map set bits back to cache sets. Because banks are *slices of
-    // one permuted address* — not independent hashes — structured
-    // address sets alias realistically, as in the paper's evaluation.
-    const unsigned idx_bits = floorLog2(cfg.bitsPerBank());
-    const unsigned total_src = idx_bits * cfg.numBanks;
-    permute.resize(total_src);
-    for (unsigned i = 0; i < total_src; ++i)
-        permute[i] = static_cast<std::uint8_t>(i);
-    Rng rng(cfg.hashSeed);
-    for (unsigned i = total_src - 1; i > idx_bits; --i) {
-        // Leave bank 0's slice (positions 0..idx_bits-1) in place.
-        unsigned j = static_cast<unsigned>(
-            idx_bits + rng.below(i - idx_bits + 1));
-        std::swap(permute[i], permute[j]);
-    }
-}
-
-std::uint32_t
-Signature::bankIndex(unsigned bank, LineAddr line) const
-{
-    const unsigned idx_bits = floorLog2(cfg.bitsPerBank());
-    const std::uint32_t mask = cfg.bitsPerBank() - 1;
-    // The hardware hashes a finite slice of the line address (30 bits
-    // here, a 32 GB reach); higher-order bits are not covered —
-    // address sets that differ only there are indistinguishable to
-    // the signature (one source of the paper's aliasing).
-    auto slice = [&](unsigned b) {
-        std::uint32_t idx = 0;
-        for (unsigned j = 0; j < idx_bits; ++j) {
-            unsigned src = permute[b * idx_bits + j] % 30;
-            idx |= static_cast<std::uint32_t>((line >> src) & 1) << j;
-        }
-        return idx;
-    };
-    // The last bank XOR-folds two slices: well distributed for diverse
-    // address mixes, but still correlated for strided/structured sets
-    // — which is what produces the realistic signature aliasing of the
-    // paper's evaluation (radix most of all).
-    if (bank == cfg.numBanks - 1 && cfg.numBanks >= 3) {
-        std::uint32_t a = slice(bank);
-        std::uint32_t b = slice(1);
-        return (a ^ ((b << 4) | (b >> (idx_bits - 4)))) & mask;
-    }
-    return slice(bank);
-}
-
-std::uint32_t
-Signature::bank0Index(LineAddr line) const
-{
-    return bankIndex(0, line);
+    index = sharedIndexTables(cfg);
 }
 
 void

@@ -8,6 +8,12 @@
  * is sliced into one index per bank and the corresponding bit is set in
  * each bank. An address is a member iff its bit is set in every bank.
  *
+ * Every index bit is one source bit of the line address (the last bank
+ * XORs in a rotated second slice), so a bank index is linear over XOR
+ * and is computed as the XOR of four byte-indexed table lookups. The
+ * tables are built once per (hashSeed, totalBits, numBanks) and shared,
+ * immutable, by every signature of that geometry.
+ *
  * Bank 0 is indexed by the untouched low-order bits of the line address so
  * the decode (delta) operation can recover the set of cache sets that may
  * hold members — this is what makes bulk invalidation and directory
@@ -117,8 +123,21 @@ class Signature
      */
     std::vector<std::uint32_t> decodeBank0() const;
 
+    /** Index of @p line in bank @p bank (the slot insert() sets). */
+    std::uint32_t
+    bankIndex(unsigned bank, LineAddr line) const
+    {
+        const std::uint32_t *t = index + std::size_t{bank} * 4 * 256;
+        return t[line & 0xff] ^ t[256 + ((line >> 8) & 0xff)] ^
+               t[512 + ((line >> 16) & 0xff)] ^
+               t[768 + ((line >> 24) & 0xff)];
+    }
+
     /** Bank-0 index of a line (used by buckets mirroring the decode). */
-    std::uint32_t bank0Index(LineAddr line) const;
+    std::uint32_t bank0Index(LineAddr line) const
+    {
+        return bankIndex(0, line);
+    }
 
     /** Number of distinct line addresses inserted (exact). */
     std::size_t exactSize() const { return exactSet.size(); }
@@ -157,15 +176,14 @@ class Signature
     const SignatureConfig &config() const { return cfg; }
 
   private:
-    std::uint32_t bankIndex(unsigned bank, LineAddr line) const;
-
     bool bloomEmpty() const;
 
     SignatureConfig cfg;
     unsigned wordsPerBank;
 
-    /** Bit permutation: slot -> source bit of the line address. */
-    std::vector<std::uint8_t> permute;
+    /** Shared index tables of this geometry: per bank, four 256-entry
+     *  tables, one per low-order byte of the line address. */
+    const std::uint32_t *index = nullptr;
 
     /** Bit storage: numBanks * wordsPerBank 64-bit words. */
     std::vector<std::uint64_t> bits;

@@ -123,6 +123,16 @@ MachineConfig::validate(std::string &err) const
                     ") must be a power of two — each bank is indexed "
                     "by an address-bit slice");
     }
+    if (sc.bitsPerBank() < 2) {
+        return fail("sig-bits / sig-banks must be at least 2 — a "
+                    "one-bit bank has no index bits to hash into");
+    }
+    if (sc.numBanks >= 3 && sc.bitsPerBank() < 16) {
+        return fail("sig-bits / sig-banks (" +
+                    std::to_string(sc.bitsPerBank()) +
+                    ") must be at least 16 with 3 or more banks — the "
+                    "last bank XOR-folds in a 4-bit rotation of bank 1");
+    }
 
     if (bulk.chunkSize == 0)
         return fail("chunk must be at least 1 instruction");
@@ -168,6 +178,12 @@ MachineConfig::validate(std::string &err) const
                         std::to_string(g->sizeBytes) +
                         ") must be a multiple of assoc * line bytes");
         }
+    }
+    if (isBulk(model) && mem.l1.assoc < 2) {
+        return fail("BulkSC models need an l1 assoc of at least 2 — a "
+                    "speculative line needs a spare way, so a "
+                    "direct-mapped l1 ends every chunk at its first "
+                    "store, got assoc " + std::to_string(mem.l1.assoc));
     }
     if (mem.l1.lineBytes != mem.l2.lineBytes) {
         return fail("l1 and l2 line sizes differ (" +

@@ -343,6 +343,139 @@ TEST(BulkProcessor, SetOverflowEndsChunkEarly)
     EXPECT_LE(sys.memory().fillBypasses(), 2u);
 }
 
+/** Streaming-region line @p k of L1 set 0 (default L1: 256 sets of
+ *  32-byte lines). Never warmed, so every store to one misses and
+ *  keeps its chunk live until the fill returns. */
+Addr
+setZeroLine(unsigned k)
+{
+    return layout::kStreamBase + Addr{k} * 256 * 32;
+}
+
+/** Instructions of processor @p p's committed chunks, in order. */
+std::vector<std::uint64_t>
+committedChunks(const System &sys, ProcId p)
+{
+    std::vector<std::uint64_t> out;
+    for (const TraceEvent &e : sys.trace()->snapshot()) {
+        if (e.type == TraceEventType::ChunkCommit &&
+            e.track == trackProc(p))
+            out.push_back(e.arg);
+    }
+    return out;
+}
+
+std::vector<std::uint64_t>
+nonEmpty(std::vector<std::uint64_t> sizes)
+{
+    std::erase(sizes, 0u);
+    return sizes;
+}
+
+/** Run @p traces on BSCdypvt with chunk-lifecycle tracing. */
+Results
+runTraced(System &sys)
+{
+    sys.enableTrace(~std::uint32_t{0});
+    return sys.run(2'000'000);
+}
+
+MachineConfig
+overflowConfig(unsigned procs, unsigned chunk = 1000)
+{
+    MachineConfig cfg;
+    cfg.model = Model::BSCdypvt;
+    cfg.numProcs = procs;
+    cfg.bulk.chunkSize = chunk;
+    return cfg;
+}
+
+TEST(BulkProcessor, WayOverflowEndsChunkAtAssocMinusOneLines)
+{
+    // A 4-way L1 holds at most 3 speculative lines per set: storing
+    // to a 4th distinct set-0 line ends the chunk before that store.
+    // Committing the chunk frees its ways, so the next 3 lines fit.
+    std::vector<Op> ops;
+    for (unsigned k = 0; k < 9; ++k)
+        ops.push_back(store(setZeroLine(k), k, 1));
+    ops.push_back(load(0x2000, 50));
+    System sys(overflowConfig(1), {makeTrace(ops)});
+    Results r = runTraced(sys);
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(nonEmpty(committedChunks(sys, 0)),
+              (std::vector<std::uint64_t>{6, 6, 6 + 51}));
+}
+
+TEST(BulkProcessor, RewritingASpeculativeLineNeedsNoNewWay)
+{
+    std::vector<Op> ops;
+    for (unsigned rep = 0; rep < 3; ++rep) {
+        for (unsigned k = 0; k < 3; ++k)
+            ops.push_back(store(setZeroLine(k), rep * 3 + k, 1));
+    }
+    ops.push_back(load(0x2000, 50));
+    System sys(overflowConfig(1), {makeTrace(ops)});
+    Results r = runTraced(sys);
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(committedChunks(sys, 0),
+              (std::vector<std::uint64_t>{18 + 51}));
+}
+
+TEST(BulkProcessor, LineWrittenByTwoLiveChunksCountsOnce)
+{
+    // 16-instruction chunks. The first writes set-0 lines 0 and 1 and
+    // stays live waiting for their fills while the second runs.
+    auto run = [](unsigned second_first_line) {
+        std::vector<Op> ops = {
+            store(setZeroLine(0), 1, 7), store(setZeroLine(1), 2, 7),
+            store(setZeroLine(second_first_line), 3, 7),
+            store(setZeroLine(2), 4, 7), load(0x2000, 50)};
+        System sys(overflowConfig(1, 16), {makeTrace(ops)});
+        Results r = runTraced(sys);
+        EXPECT_TRUE(r.completed);
+        return committedChunks(sys, 0);
+    };
+    // Re-writing line 0 in the second chunk: lines {0, 1, 2} are 3
+    // distinct ways, so the second chunk runs to its full 16.
+    EXPECT_EQ(run(0)[1], 16u);
+    // Control: a fresh line 3 makes line 2 the 4th distinct line while
+    // the first chunk is live, so the second chunk ends after 8.
+    EXPECT_EQ(run(3)[1], 8u);
+}
+
+TEST(BulkProcessor, SquashedChunkReleasesItsWays)
+{
+    // P0's first chunk stays live on a cold store; its second chunk
+    // reads x, writes 3 set-0 lines and is squashed by P1's commit to
+    // x. After everything commits, 3 new set-0 lines must fit again:
+    // ways leaked by the squashed chunk would end every later chunk
+    // at its first set-0 store, and the run would never finish.
+    const Addr x = 0x9000'0500;
+    std::vector<Op> p0 = {
+        store(layout::kStreamBase + 32, 1, 15), // set 1; ends chunk
+        load(x, 0),
+        store(setZeroLine(0), 2, 0),
+        store(setZeroLine(1), 3, 0),
+        store(setZeroLine(2), 4, 0),
+        load(0x2000, 11),
+    };
+    for (unsigned k = 3; k < 6; ++k)
+        p0.push_back(store(setZeroLine(k), k, 0));
+    p0.push_back(load(0x2000, 50));
+    std::vector<Op> p1 = {store(x, 9, 1), load(0x3000, 50)};
+    System sys(overflowConfig(2, 16), {makeTrace(p0), makeTrace(p1)});
+    Results r = runTraced(sys);
+    ASSERT_TRUE(r.completed);
+    EXPECT_GE(sys.processor(0).squashes(), 1u);
+    // Only the younger chunk (seq 1 onward) was squashed.
+    for (const TraceEvent &e : sys.trace()->snapshot()) {
+        if (e.type == TraceEventType::ChunkSquash &&
+            e.track == trackProc(0)) {
+            EXPECT_GE(e.seq, 1u);
+        }
+    }
+}
+
 TEST(BulkProcessor, EndChunkOnSyncShortensLockWindows)
 {
     // With chunk boundaries at synchronization ops, each critical

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "signature/signature.hh"
 #include "sim/rng.hh"
@@ -312,6 +315,178 @@ TEST(Signature, PopCountGrowsWithInsertions)
         s.insert(rng.next());
     EXPECT_GT(s.popCount(), 0u);
     EXPECT_LE(s.popCount(), 50u * s.config().numBanks);
+}
+
+/**
+ * The bit-level index function the byte-sliced tables must reproduce,
+ * kept here as the specification: shuffle the slots of every bank but
+ * bank 0 with an Rng seeded by hashSeed, slice the low 30 line bits
+ * through them, and XOR-fold bank 1's slice rotated by 4 into the last
+ * bank when there are 3 or more banks.
+ */
+class ReferenceHash
+{
+  public:
+    explicit ReferenceHash(const SignatureConfig &cfg)
+        : idxBits(floorLog2(cfg.bitsPerBank())), banks(cfg.numBanks)
+    {
+        const unsigned total = idxBits * banks;
+        for (unsigned i = 0; i < total; ++i)
+            permute.push_back(static_cast<std::uint8_t>(i));
+        Rng rng(cfg.hashSeed);
+        for (unsigned i = total - 1; i > idxBits; --i) {
+            unsigned j = static_cast<unsigned>(
+                idxBits + rng.below(i - idxBits + 1));
+            std::swap(permute[i], permute[j]);
+        }
+    }
+
+    std::uint32_t
+    index(unsigned bank, LineAddr line) const
+    {
+        const std::uint32_t mask = (std::uint32_t{1} << idxBits) - 1;
+        if (bank == banks - 1 && banks >= 3) {
+            std::uint32_t b = slice(1, line);
+            return (slice(bank, line) ^
+                    ((b << 4) | (b >> (idxBits - 4)))) &
+                   mask;
+        }
+        return slice(bank, line);
+    }
+
+  private:
+    std::uint32_t
+    slice(unsigned bank, LineAddr line) const
+    {
+        std::uint32_t idx = 0;
+        for (unsigned j = 0; j < idxBits; ++j) {
+            unsigned src = permute[bank * idxBits + j] % 30;
+            idx |= static_cast<std::uint32_t>((line >> src) & 1) << j;
+        }
+        return idx;
+    }
+
+    unsigned idxBits;
+    unsigned banks;
+    std::vector<std::uint8_t> permute;
+};
+
+/** Every geometry of 256–8192 bits with 1, 2, 3, 4 or 8 banks. */
+std::vector<std::pair<unsigned, unsigned>>
+pinnedGeometries()
+{
+    std::vector<std::pair<unsigned, unsigned>> out;
+    for (unsigned banks : {1u, 2u, 3u, 4u, 8u}) {
+        for (unsigned per_bank = 32; per_bank * banks <= 8192;
+             per_bank *= 2) {
+            if (per_bank * banks >= 256)
+                out.emplace_back(per_bank * banks, banks);
+        }
+    }
+    return out;
+}
+
+/** Random lines, half of them with bits above 29 set, plus edges. */
+std::vector<LineAddr>
+probeLines(std::uint64_t seed)
+{
+    std::vector<LineAddr> out = {0,
+                                 1,
+                                 (LineAddr{1} << 29),
+                                 (LineAddr{1} << 30) - 1,
+                                 (LineAddr{1} << 30),
+                                 ~LineAddr{0}};
+    Rng rng(seed);
+    for (int i = 0; i < 256; ++i) {
+        LineAddr l = rng.next();
+        out.push_back(i % 2 ? l : l & ((LineAddr{1} << 30) - 1));
+    }
+    return out;
+}
+
+TEST(SignatureHash, TablesMatchBitLevelReference)
+{
+    for (auto [bits, banks] : pinnedGeometries()) {
+        for (std::uint64_t seed :
+             {SignatureConfig{}.hashSeed, std::uint64_t{1},
+              std::uint64_t{42}, std::uint64_t{0xdead'beef'f00dULL}}) {
+            SignatureConfig cfg;
+            cfg.totalBits = bits;
+            cfg.numBanks = banks;
+            cfg.hashSeed = seed;
+            const ReferenceHash ref(cfg);
+            const Signature s(cfg);
+            for (LineAddr l : probeLines(seed ^ bits ^ banks)) {
+                for (unsigned b = 0; b < banks; ++b) {
+                    ASSERT_EQ(s.bankIndex(b, l), ref.index(b, l))
+                        << bits << " bits, " << banks << " banks, seed "
+                        << seed << ", bank " << b << ", line " << l;
+                    // Bits above 29 are outside the hashed slice.
+                    ASSERT_EQ(s.bankIndex(b, l),
+                              s.bankIndex(b, l & ((LineAddr{1} << 30) -
+                                                  1)));
+                }
+            }
+        }
+    }
+}
+
+TEST(SignatureHash, CopiesIndexLikeFreshSignatures)
+{
+    SignatureConfig cfg;
+    cfg.totalBits = 1024;
+    cfg.numBanks = 8;
+    cfg.hashSeed = 7;
+    SignatureConfig other;
+    const Signature original(cfg);
+    const Signature copy(original);
+    Signature assigned(other);
+    assigned = original;
+    Signature moved_from(cfg);
+    const Signature moved(std::move(moved_from));
+    const Signature fresh(cfg);
+    for (LineAddr l : probeLines(3)) {
+        for (unsigned b = 0; b < cfg.numBanks; ++b) {
+            const std::uint32_t want = fresh.bankIndex(b, l);
+            EXPECT_EQ(original.bankIndex(b, l), want);
+            EXPECT_EQ(copy.bankIndex(b, l), want);
+            EXPECT_EQ(assigned.bankIndex(b, l), want);
+            EXPECT_EQ(moved.bankIndex(b, l), want);
+        }
+    }
+}
+
+/** Signatures are built on sweep and explorer worker threads: the
+ *  first use of a geometry on several threads at once must agree. */
+TEST(SignatureHash, ConcurrentFirstUseAgrees)
+{
+    auto digest = [](std::uint64_t seed_base) {
+        std::uint64_t h = 0;
+        for (auto [bits, banks] : pinnedGeometries()) {
+            SignatureConfig cfg;
+            cfg.totalBits = bits;
+            cfg.numBanks = banks;
+            cfg.hashSeed = seed_base + bits;
+            Signature s(cfg);
+            Signature t = s;
+            for (LineAddr l : probeLines(bits)) {
+                for (unsigned b = 0; b < banks; ++b)
+                    h = mix64(h ^ s.bankIndex(b, l) ^
+                              (std::uint64_t{t.bankIndex(b, l)} << 32));
+            }
+        }
+        return h;
+    };
+    // Seeds no other test uses, so the tables are built right here.
+    const std::uint64_t seed_base = 0x7ab1e5'0000ULL;
+    std::vector<std::uint64_t> got(4);
+    std::vector<std::thread> workers;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        workers.emplace_back([&, i] { got[i] = digest(seed_base); });
+    for (auto &w : workers)
+        w.join();
+    for (std::uint64_t g : got)
+        EXPECT_EQ(g, digest(seed_base));
 }
 
 /** Parameterized sweep over signature geometries. */

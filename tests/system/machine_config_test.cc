@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "system/machine_config.hh"
 
 namespace bulksc {
@@ -80,6 +82,62 @@ TEST(MachineConfig, ResolvePropagatesProcCount)
     cfg.resolve();
     EXPECT_EQ(cfg.mem.numProcs, 4u);
     EXPECT_EQ(cfg.cpu.numBarrierProcs, 4u);
+}
+
+/** The last bank of a 3+-bank signature XORs in a 4-bit rotation of
+ *  bank 1's slice, which needs at least 16 bits per bank; every bank
+ *  needs at least 2. */
+TEST(MachineConfig, RejectsSignatureGeometryWithUndefinedFold)
+{
+    auto check = [](unsigned bits, unsigned banks) {
+        MachineConfig cfg;
+        cfg.bulk.sigCfg.totalBits = bits;
+        cfg.bulk.sigCfg.numBanks = banks;
+        std::string err;
+        bool ok = cfg.validate(err);
+        EXPECT_EQ(ok, err.empty()) << err;
+        return ok ? std::string() : err;
+    };
+    const std::string fold = check(32, 4);
+    EXPECT_NE(fold.find("at least 16 with 3 or more banks"),
+              std::string::npos)
+        << fold;
+    EXPECT_FALSE(check(24, 3).empty());
+    EXPECT_FALSE(check(64, 8).empty());
+    EXPECT_TRUE(check(48, 3).empty());
+    EXPECT_TRUE(check(64, 4).empty());
+    EXPECT_TRUE(check(128, 8).empty());
+    // Two banks have no fold: small banks are fine down to 2 bits.
+    EXPECT_TRUE(check(4, 2).empty());
+    const std::string one_bit = check(4, 4);
+    EXPECT_NE(one_bit.find("at least 2"), std::string::npos) << one_bit;
+    EXPECT_FALSE(check(1, 1).empty());
+}
+
+/** A BulkSC speculative line needs a spare L1 way: with a direct-
+ *  mapped L1 every store ends its chunk and the run never finishes. */
+TEST(MachineConfig, RejectsDirectMappedL1ForBulkModels)
+{
+    for (Model m : {Model::BSCbase, Model::BSCdypvt, Model::BSCstpvt,
+                    Model::BSCexact}) {
+        MachineConfig cfg;
+        cfg.model = m;
+        cfg.numProcs = 2;
+        cfg.mem.l1.assoc = 1;
+        std::string err;
+        EXPECT_FALSE(cfg.validate(err)) << modelName(m);
+        EXPECT_NE(err.find("assoc"), std::string::npos) << err;
+        cfg.mem.l1.assoc = 2;
+        EXPECT_TRUE(cfg.validate(err)) << modelName(m) << ": " << err;
+    }
+    for (Model m : {Model::SC, Model::TSO, Model::RC, Model::SCpp}) {
+        MachineConfig cfg;
+        cfg.model = m;
+        cfg.numProcs = 2;
+        cfg.mem.l1.assoc = 1;
+        std::string err;
+        EXPECT_TRUE(cfg.validate(err)) << modelName(m) << ": " << err;
+    }
 }
 
 } // namespace
