@@ -1,5 +1,7 @@
 #include "core/arbiter.hh"
 
+#include <algorithm>
+
 #include "sim/event_trace.hh"
 #include "sim/rng.hh"
 #include "sim/logging.hh"
@@ -20,29 +22,51 @@ ArbiterCore::requestLost(NodeId to, std::uint64_t txn)
                 static_cast<std::uint64_t>(FaultKind::ArbReqLoss));
 }
 
-bool
-ArbiterCore::dedupRequest(ProcId p, std::uint64_t txn,
-                          const Reply &reply,
-                          const std::shared_ptr<Signature> &w)
+void
+ArbiterCore::setClient(ProcId p, ArbiterClient *c)
 {
-    auto it = txns.find(p);
-    if (it != txns.end() && it->second.txn == txn) {
+    if (clients.size() <= p) {
+        clients.resize(p + 1, nullptr);
+        txns.resize(p + 1);
+    }
+    clients[p] = c;
+}
+
+bool
+ArbiterCore::dedupRequest(ProcId p, std::uint64_t txn, const SigPtr &w)
+{
+    TxnWindow &tw = txns.at(p);
+    if (tw.slots.empty())
+        tw.slots.resize(kTxnWindow);
+    if (txn + kTxnWindow <= tw.newest) {
+        // Its decision is forgotten, and deciding it again could list
+        // a W that nobody releases.
         ++stats_.dupRequests;
-        if (it->second.decided)
-            sendReply(p, it->second.ok, reply, home, w, txn);
+        sendReply(p, txn, false, home, w);
         return true;
     }
-    txns[p] = TxnRecord{txn, false, false};
+    TxnRecord &rec = tw.slots[txn % kTxnWindow];
+    if (rec.txn == txn) {
+        ++stats_.dupRequests;
+        if (rec.decided)
+            sendReply(p, txn, rec.ok, home, w);
+        return true;
+    }
+    // A first copy, possibly overtaken by later ids: decide it.
+    rec = TxnRecord{txn, false, false};
+    tw.newest = std::max(tw.newest, txn);
     return false;
 }
 
 void
-ArbiterCore::conclude(ProcId p, bool ok, const Reply &reply,
-                      NodeId from, std::shared_ptr<Signature> w)
+ArbiterCore::conclude(ProcId p, std::uint64_t txn, bool ok, NodeId from,
+                      SigPtr w)
 {
-    TxnRecord &rec = txns[p];
-    rec.decided = true;
-    rec.ok = ok;
+    TxnRecord &rec = txns.at(p).slots[txn % kTxnWindow];
+    if (rec.txn == txn) {
+        rec.decided = true;
+        rec.ok = ok;
+    }
     if (ok)
         ++stats_.grants;
     else
@@ -50,19 +74,19 @@ ArbiterCore::conclude(ProcId p, bool ok, const Reply &reply,
     EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
                 trackArb(static_cast<unsigned>(from - base)), 0,
                 pendingW(), ok ? 1 : 0);
-    sendReply(p, ok, reply, from, std::move(w), rec.txn);
+    sendReply(p, txn, ok, from, std::move(w));
 }
 
 void
-ArbiterCore::sendReply(ProcId p, bool ok, const Reply &reply,
-                       NodeId from, std::shared_ptr<Signature> w,
-                       std::uint64_t txn)
+ArbiterCore::sendReply(ProcId p, std::uint64_t txn, bool ok, NodeId from,
+                       SigPtr w)
 {
     MsgFootprint fp;
     fp.wsig = std::move(w);
     if (net.sendLossy(from, p, TrafficClass::Other, 8,
                       FaultKind::ArbGrantLoss, true,
-                      [reply, ok] { reply(ok); }, fp)) {
+                      [this, p, txn, ok] { client(p).arbReply(txn, ok); },
+                      fp)) {
         ++stats_.lostReplies;
         EVENT_TRACE(TraceEventType::FaultInject, curTick(),
                     trackArb(static_cast<unsigned>(from - base)), txn,
@@ -72,10 +96,10 @@ ArbiterCore::sendReply(ProcId p, bool ok, const Reply &reply,
 }
 
 void
-ArbiterCore::preArbitrate(ProcId p, std::function<void()> granted)
+ArbiterCore::preArbitrate(ProcId p)
 {
     ++stats_.preArbitrations;
-    preArbQueue.emplace_back(p, std::move(granted));
+    preArbQueue.push_back(p);
     tryActivatePreArb();
 }
 
@@ -84,11 +108,11 @@ ArbiterCore::tryActivatePreArb()
 {
     if (preArbOwner != kNoOwner || preArbQueue.empty() || pendingW())
         return;
-    auto [p, granted] = std::move(preArbQueue.front());
+    ProcId p = preArbQueue.front();
     preArbQueue.pop_front();
     preArbOwner = p;
     net.send(home, p, TrafficClass::Other, 8,
-             [granted = std::move(granted)] { granted(); });
+             [this, p] { client(p).preArbGranted(); });
 }
 
 void
@@ -105,16 +129,16 @@ ArbiterCore::touchStats()
 }
 
 void
-ArbiterCore::wAccepted(const std::shared_ptr<Signature> &w)
+ArbiterCore::wAccepted(const Signature &w)
 {
     touchStats();
-    wInsertTick[w.get()] = curTick();
+    wInsertTick[&w] = curTick();
 }
 
 void
-ArbiterCore::wReleased(const std::shared_ptr<Signature> &w)
+ArbiterCore::wReleased(const Signature &w)
 {
-    auto in = wInsertTick.find(w.get());
+    auto in = wInsertTick.find(&w);
     if (in == wInsertTick.end())
         return;
     touchStats();
@@ -125,8 +149,14 @@ ArbiterCore::wReleased(const std::shared_ptr<Signature> &w)
 std::uint64_t
 ArbiterCore::fingerprintCore(std::uint64_t h) const
 {
+    // The newest record per processor: older ones only answer
+    // duplicates.
     std::uint64_t tc = 0;
-    for (const auto &[p, rec] : txns) {
+    for (ProcId p = 0; p < txns.size(); ++p) {
+        const TxnWindow &tw = txns[p];
+        if (!tw.newest)
+            continue;
+        const TxnRecord &rec = tw.slots[tw.newest % kTxnWindow];
         tc += mix64(mix64(p) ^ rec.txn ^
                     (std::uint64_t{rec.decided} << 62) ^
                     (std::uint64_t{rec.ok} << 61));
@@ -134,8 +164,8 @@ ArbiterCore::fingerprintCore(std::uint64_t h) const
     h = mix64(h ^ tc);
     h = mix64(h ^ preArbOwner);
     std::uint64_t pq = 0x9; // non-zero so an empty queue still folds
-    for (const auto &e : preArbQueue)
-        pq = mix64(pq ^ e.first);
+    for (ProcId p : preArbQueue)
+        pq = mix64(pq ^ p);
     return mix64(h ^ pq);
 }
 
@@ -146,26 +176,15 @@ Arbiter::Arbiter(EventQueue &eq, Network &n, NodeId node_,
       maxCommits(max_commits)
 {}
 
-bool
-Arbiter::collides(const Signature &s) const
-{
-    for (const auto &w : wList) {
-        if (w->intersects(s))
-            return true;
-    }
-    return false;
-}
-
 void
-Arbiter::requestCommit(ProcId p, std::uint64_t txn,
-                       std::shared_ptr<Signature> w,
-                       RProvider r_provider, Reply reply)
+Arbiter::requestCommit(ProcId p, std::uint64_t txn, std::uint64_t seq,
+                       SigPtr w)
 {
     // Request message: with the RSig optimization only W travels.
     unsigned bits = w->empty() ? 16 : w->compressedBits();
-    std::shared_ptr<Signature> upfront_r;
+    SigPtr upfront_r;
     if (!rsigOpt) {
-        upfront_r = r_provider();
+        upfront_r = client(p).chunkR(seq);
         MsgFootprint rfp;
         rfp.rsig = upfront_r;
         net.send(p, node, TrafficClass::RdSig,
@@ -173,22 +192,22 @@ Arbiter::requestCommit(ProcId p, std::uint64_t txn,
                  rfp);
     }
 
-    auto deliver = [this, p, txn, w, upfront_r, r_provider, reply] {
-        if (dedupRequest(p, txn, reply, w))
+    auto deliver = [this, p, txn, seq, w, upfront_r] {
+        if (dedupRequest(p, txn, w))
             return;
         ++stats_.requests;
 
         // Pre-arbitration: reject everyone but the owner.
         if (preArbBlocks(p)) {
-            eventq.scheduleAfter(processing, [this, p, w, reply] {
-                conclude(p, false, reply, node, w);
+            eventq.scheduleAfter(processing, [this, p, txn, w] {
+                conclude(p, txn, false, node, w);
             });
             return;
         }
         if (preArbOwnedBy(p))
             releasePreArb();
 
-        decide(p, w, upfront_r, r_provider, std::move(reply));
+        decide(p, txn, seq, w, upfront_r);
     };
 
     MsgFootprint reqFp;
@@ -198,57 +217,53 @@ Arbiter::requestCommit(ProcId p, std::uint64_t txn,
 }
 
 void
-Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
-                std::shared_ptr<Signature> r, RProvider r_provider,
-                Reply reply)
+Arbiter::decide(ProcId p, std::uint64_t txn, std::uint64_t seq, SigPtr w,
+                SigPtr r)
 {
     // The entire check runs atomically at the decision tick: the W
     // list is examined exactly once, and if the R signature turns out
     // to be needed but absent (RSig optimization), it is fetched and
     // the decision re-runs against the then-current list.
-    eventq.scheduleAfter(processing, [this, p, w, r, r_provider,
-                                      reply] {
-        auto finalize = [this, p, reply](
-                            bool ok,
-                            const std::shared_ptr<Signature> &w_) {
-            if (ok && w_->empty()) {
+    eventq.scheduleAfter(processing, [this, p, txn, seq, w, r] {
+        auto finalize = [&](bool ok) {
+            if (ok && w->empty()) {
                 ++stats_.emptyWCommits;
             } else if (ok) {
-                wAccepted(w_);
-                wList.push_back(w_);
+                wAccepted(*w);
+                wList.push_back(w);
             }
             tryActivatePreArb();
-            conclude(p, ok, reply, node, w_);
+            conclude(p, txn, ok, node, w);
         };
 
         if (wList.empty()) {
-            finalize(true, w);
+            finalize(true);
             return;
         }
         if (!r) {
             // RSig slow path: fetch R, then re-decide.
             ++stats_.rsigRequired;
             net.send(node, p, TrafficClass::Other, 16,
-                     [this, p, w, r_provider, reply] {
-                auto fetched = r_provider();
+                     [this, p, txn, seq, w] {
+                SigPtr fetched = client(p).chunkR(seq);
                 if (!fetched) {
                     // Chunk vanished (squashed); deny.
                     tryActivatePreArb();
-                    conclude(p, false, reply, node, w);
+                    conclude(p, txn, false, node, w);
                     return;
                 }
                 MsgFootprint rfp;
                 rfp.rsig = fetched;
                 net.send(p, node, TrafficClass::RdSig,
                          fetched->compressedBits(),
-                         [this, p, w, fetched, r_provider, reply] {
-                             decide(p, w, fetched, r_provider, reply);
+                         [this, p, txn, seq, w, fetched] {
+                             decide(p, txn, seq, w, fetched);
                          },
                          rfp);
             });
             return;
         }
-        bool ok = !collides(*r) && !collides(*w) &&
+        bool ok = !anyIntersects(wList, *r) && !anyIntersects(wList, *w) &&
                   wList.size() < maxCommits;
         // Fault injection (negative testing): let every Nth colliding
         // request through, breaking the disambiguation the checkers
@@ -262,21 +277,17 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
                             FaultKind::ArbSkipCollision));
             ok = true;
         }
-        finalize(ok, w);
+        finalize(ok);
     });
 }
 
 void
-Arbiter::commitDone(const std::shared_ptr<Signature> &w)
+Arbiter::commitDone(const Signature &w)
 {
-    for (auto it = wList.begin(); it != wList.end(); ++it) {
-        if (it->get() == w.get()) {
-            wReleased(w);
-            wList.erase(it);
-            tryActivatePreArb();
-            return;
-        }
-    }
+    if (!eraseSig(wList, w))
+        return;
+    wReleased(w);
+    tryActivatePreArb();
 }
 
 std::uint64_t

@@ -23,7 +23,6 @@
 #define BULKSC_CORE_ARBITER_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -54,7 +53,8 @@ struct ArbiterStats
     std::uint64_t faultInjectedGrants = 0;
 
     /** Duplicate or retransmitted requests absorbed by the dedup
-     *  cache (decided ones get their cached decision re-sent). */
+     *  cache (decided ones get their cached decision re-sent; copies
+     *  older than the cache's window are denied). */
     std::uint64_t dupRequests = 0;
 
     /** Requests lost to fault injection before reaching the arbiter. */
@@ -87,54 +87,35 @@ struct ArbiterStats
     }
 };
 
-/** Supplies a chunk's R signature on demand (RSig optimization). */
-using RProvider = std::function<std::shared_ptr<Signature>()>;
-
-/** Interface shared by the central and distributed arbiters. */
-class ArbiterIface
+/**
+ * What an arbiter needs from a committing processor: where decisions,
+ * R-signature fetches and pre-arbitration grants land. A processor
+ * registers itself with ArbiterCore::setClient, as it registers its
+ * CacheListener with MemorySystem::setListener.
+ */
+class ArbiterClient
 {
   public:
-    virtual ~ArbiterIface() = default;
+    virtual ~ArbiterClient() = default;
 
-    /**
-     * Request permission to commit.
-     *
-     * @param p Requesting processor.
-     * @param txn Per-processor transaction number. Retransmissions of
-     *        the same request reuse the number so the arbiter can
-     *        deduplicate them idempotently: a duplicate of a decided
-     *        transaction re-sends the cached decision instead of
-     *        deciding twice.
-     * @param w The chunk's W signature (kept by the arbiter on grant).
-     * @param r_provider Called if the R signature is needed.
-     * @param reply Receives the decision at the processor (may be
-     *        invoked more than once under reply duplication; callers
-     *        must ignore repeats).
-     */
-    virtual void requestCommit(ProcId p, std::uint64_t txn,
-                               std::shared_ptr<Signature> w,
-                               RProvider r_provider,
-                               std::function<void(bool)> reply) = 0;
+    /** The decision for transaction @p txn arrived. A duplicated reply
+     *  (net.dup, or one per retransmission of a decided transaction)
+     *  arrives again; only the first may act. */
+    virtual void arbReply(std::uint64_t txn, bool ok) = 0;
 
-    /** All directories acknowledged the commit of @p w: drop it. */
-    virtual void commitDone(const std::shared_ptr<Signature> &w) = 0;
+    /** A snapshot of chunk @p seq's R signature (the RSig fetch of
+     *  Section 4.2.2), or null if the chunk was squashed. */
+    virtual SigPtr chunkR(std::uint64_t seq) = 0;
 
-    /** Reserve the arbiter for @p p (forward-progress measure). */
-    virtual void preArbitrate(ProcId p,
-                              std::function<void()> granted) = 0;
-
-    virtual const ArbiterStats &stats() const = 0;
-
-    /** Digest of the arbiter's protocol state (W list, decision
-     *  cache, pre-arbitration) for explorer revisit pruning. */
-    virtual std::uint64_t fingerprint() const { return 0; }
+    /** This processor now holds the pre-arbitration reservation. */
+    virtual void preArbGranted() = 0;
 };
 
 /**
- * The commit-protocol machinery both arbiters share. The central and
- * distributed arbiters apply one decision rule (grant iff the incoming
- * R/W signatures miss every W in flight) and differ only in where the
- * W lists live; everything around that rule lives here once:
+ * The commit protocol both arbiters share. The central and distributed
+ * arbiters apply one decision rule (grant iff the incoming R/W
+ * signatures miss every W in flight) and differ only in where the W
+ * lists live; everything around that rule lives here once:
  *
  *  - the per-processor decision cache that makes retransmitted
  *    requests idempotent;
@@ -144,20 +125,50 @@ class ArbiterIface
  *    once no accepted non-empty W is in flight;
  *  - W-residency accounting: the pending-W integral, non-empty ticks
  *    and the occupancy histogram of ArbiterStats.
+ *
+ * Every in-flight step is a message naming its (processor, txn); the
+ * events carry only ids, scalars and immutable signatures.
  */
-class ArbiterCore : public SimObject, public ArbiterIface
+class ArbiterCore : public SimObject
 {
   public:
-    void preArbitrate(ProcId p, std::function<void()> granted) override;
+    /** Register @p c as processor @p p's client. */
+    void setClient(ProcId p, ArbiterClient *c);
 
-    const ArbiterStats &stats() const override { return stats_; }
+    /**
+     * Request permission to commit chunk @p seq of processor @p p.
+     *
+     * @param txn Per-processor transaction number, from 1 up.
+     *        Retransmissions of the same request reuse the number so
+     *        the arbiter can deduplicate them idempotently: a duplicate
+     *        of a decided transaction re-sends the cached decision
+     *        instead of deciding twice.
+     * @param w The chunk's W signature (kept by the arbiter on grant
+     *        until commitDone names it).
+     *
+     * The decision arrives at the client's arbReply(txn, ok); the R
+     * signature, when needed, comes from its chunkR(seq).
+     */
+    virtual void requestCommit(ProcId p, std::uint64_t txn,
+                               std::uint64_t seq, SigPtr w) = 0;
+
+    /** All directories acknowledged the commit of @p w: drop it. */
+    virtual void commitDone(const Signature &w) = 0;
+
+    /** Reserve the arbiter for @p p (forward-progress measure); the
+     *  client's preArbGranted() fires when the reservation is p's. */
+    void preArbitrate(ProcId p);
+
+    const ArbiterStats &stats() const { return stats_; }
 
     /** Accepted non-empty W signatures in flight. */
     std::size_t pendingW() const { return wInsertTick.size(); }
 
-  protected:
-    using Reply = std::function<void(bool)>;
+    /** Digest of the arbiter's protocol state (W lists, decision
+     *  cache, pre-arbitration) for explorer revisit pruning. */
+    virtual std::uint64_t fingerprint() const = 0;
 
+  protected:
     /**
      * @param base Network node of arbiter module 0; trace tracks are
      *        numbered from it.
@@ -190,18 +201,20 @@ class ArbiterCore : public SimObject, public ArbiterIface
      * decision cache (never decided twice: a granted W is already
      * listed and would collide with itself).
      */
-    bool dedupRequest(ProcId p, std::uint64_t txn, const Reply &reply,
-                      const std::shared_ptr<Signature> &w);
+    bool dedupRequest(ProcId p, std::uint64_t txn, const SigPtr &w);
 
     /**
-     * Count and trace the decision for @p p's current transaction,
+     * Count and trace the decision on @p p's transaction @p txn,
      * cache it, and send the reply from node @p from. @p w is the
      * decided chunk's W signature; it rides along as the reply's
      * footprint so the schedule explorer can commute replies to
      * different processors.
      */
-    void conclude(ProcId p, bool ok, const Reply &reply, NodeId from,
-                  std::shared_ptr<Signature> w);
+    void conclude(ProcId p, std::uint64_t txn, bool ok, NodeId from,
+                  SigPtr w);
+
+    /** Processor @p p's client (the R fetch of the central arbiter). */
+    ArbiterClient &client(ProcId p) const { return *clients.at(p); }
 
     /** Pre-arbitration reserves the arbiter for someone other than
      *  @p p, whose request must be denied. */
@@ -221,10 +234,10 @@ class ArbiterCore : public SimObject, public ArbiterIface
     void tryActivatePreArb();
 
     /** A granted non-empty W entered the arbiter. */
-    void wAccepted(const std::shared_ptr<Signature> &w);
+    void wAccepted(const Signature &w);
 
     /** @p w (accepted earlier or not) left the arbiter. */
-    void wReleased(const std::shared_ptr<Signature> &w);
+    void wReleased(const Signature &w);
 
     /** Fold the shared protocol state (decision cache and
      *  pre-arbitration) into the arbiter's list digest @p h. */
@@ -238,25 +251,41 @@ class ArbiterCore : public SimObject, public ArbiterIface
 
     void requestLost(NodeId to, std::uint64_t txn);
 
-    void sendReply(ProcId p, bool ok, const Reply &reply, NodeId from,
-                   std::shared_ptr<Signature> w, std::uint64_t txn);
+    void sendReply(ProcId p, std::uint64_t txn, bool ok, NodeId from,
+                   SigPtr w);
 
     void touchStats();
 
     NodeId base;
     NodeId home;
 
-    /** Decision cache: the latest transaction seen per processor. */
+    std::vector<ArbiterClient *> clients;
+
+    /** Transactions a processor's decision cache remembers: a copy of
+     *  one of its last kTxnWindow ids gets the cached decision, a copy
+     *  of an older id is denied. */
+    static constexpr std::uint64_t kTxnWindow = 64;
+
     struct TxnRecord
     {
-        std::uint64_t txn = ~std::uint64_t{0};
+        std::uint64_t txn = 0; //!< 0 = empty (ids start at 1)
         bool decided = false;
         bool ok = false;
     };
-    std::unordered_map<ProcId, TxnRecord> txns;
+
+    /** One processor's decision cache: txn lives in slot
+     *  txn % kTxnWindow while it is inside the window. The slots are
+     *  allocated at the processor's first request, so building a
+     *  System stays cheap. */
+    struct TxnWindow
+    {
+        std::uint64_t newest = 0;
+        std::vector<TxnRecord> slots;
+    };
+    std::vector<TxnWindow> txns; //!< by processor
 
     ProcId preArbOwner = kNoOwner;
-    std::deque<std::pair<ProcId, std::function<void()>>> preArbQueue;
+    std::deque<ProcId> preArbQueue;
 
     /** Tick each accepted non-empty W entered the arbiter. */
     std::unordered_map<const Signature *, Tick> wInsertTick;
@@ -289,21 +318,18 @@ class Arbiter : public ArbiterCore
      */
     void setFaultPlane(FaultPlane *fp) { faults = fp; }
 
-    void requestCommit(ProcId p, std::uint64_t txn,
-                       std::shared_ptr<Signature> w,
-                       RProvider r_provider, Reply reply) override;
+    void requestCommit(ProcId p, std::uint64_t txn, std::uint64_t seq,
+                       SigPtr w) override;
 
-    void commitDone(const std::shared_ptr<Signature> &w) override;
+    void commitDone(const Signature &w) override;
 
     std::uint64_t fingerprint() const override;
 
   private:
-    void decide(ProcId p, const std::shared_ptr<Signature> &w,
-                std::shared_ptr<Signature> r, RProvider r_provider,
-                Reply reply);
-
-    /** True iff some listed W intersects @p s. */
-    bool collides(const Signature &s) const;
+    /** Decide @p p's transaction @p txn after the processing delay;
+     *  a null @p r under a non-empty list fetches R first. */
+    void decide(ProcId p, std::uint64_t txn, std::uint64_t seq, SigPtr w,
+                SigPtr r);
 
     NodeId node;
     Tick processing;
@@ -311,7 +337,7 @@ class Arbiter : public ArbiterCore
     unsigned maxCommits;
     FaultPlane *faults = nullptr;
 
-    std::vector<std::shared_ptr<Signature>> wList;
+    std::vector<SigPtr> wList;
 };
 
 } // namespace bulksc

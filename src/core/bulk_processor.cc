@@ -1,5 +1,6 @@
 #include "core/bulk_processor.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -12,12 +13,14 @@ BulkProcessor::BulkProcessor(EventQueue &eq, const std::string &name,
                              const Trace &trace,
                              const CpuParams &cpu_params,
                              const BulkParams &bulk_params,
-                             ArbiterIface &arb_)
+                             ArbiterCore &arb_)
     : ProcessorBase(eq, name, pid, mem, trace, cpu_params),
       bprm(bulk_params), arb(arb_),
       specWays(mem.params().l1.numSets()),
       nextChunkTarget(bprm.chunkSize), privBuf(bprm.privBufferEntries)
-{}
+{
+    arb.setClient(pid, this);
+}
 
 Chunk *
 BulkProcessor::currentChunk()
@@ -312,11 +315,8 @@ BulkProcessor::finishOp()
         return;
     Chunk &cur = *chunks.back();
     cur.execInstrs += op.gap + 1;
-    if (cur.execInstrs >= cur.targetSize && !cur.endReached &&
-        txnDepth == 0) {
-        cur.endReached = true;
-        maybeArbitrate();
-    }
+    if (cur.execInstrs >= cur.targetSize && txnDepth == 0)
+        endChunk(cur);
 }
 
 void
@@ -335,13 +335,10 @@ BulkProcessor::advance()
             if (syncBusy || !window.empty())
                 return;
             if (!chunks.empty()) {
-                if (!chunks.back()->endReached) {
-                    chunks.back()->endReached = true;
-                    maybeArbitrate();
-                }
+                endChunk(*chunks.back());
                 return;
             }
-            if (committingCount == 0)
+            if (committing.empty())
                 markFinished();
             return;
         }
@@ -367,8 +364,7 @@ BulkProcessor::advance()
             // IS the chunk commit, so atomicity and conflict handling
             // come for free from the chunk machinery (Section 8).
             if (txnDepth == 0 && cur->execInstrs > 0) {
-                cur->endReached = true;
-                maybeArbitrate();
+                endChunk(*cur);
                 continue;
             }
             ++txnDepth;
@@ -380,13 +376,8 @@ BulkProcessor::advance()
                      ": TxEnd without a matching TxBegin");
             --txnDepth;
             finishOp();
-            if (txnDepth == 0) {
-                Chunk &c = *chunks.back();
-                if (!c.endReached) {
-                    c.endReached = true;
-                    maybeArbitrate();
-                }
-            }
+            if (txnDepth == 0)
+                endChunk(*chunks.back());
             continue;
         }
         if (op.type == OpType::Load) {
@@ -404,10 +395,7 @@ BulkProcessor::advance()
                          "transaction working set exceeds L1 way "
                          "capacity; transactions are cache-bounded "
                          "(Section 8)");
-                if (!cur->endReached) {
-                    cur->endReached = true;
-                    maybeArbitrate();
-                }
+                endChunk(*cur);
                 if (chunks.size() >= bprm.maxLiveChunks)
                     return; // wake on predecessor commit
                 continue;
@@ -420,8 +408,7 @@ BulkProcessor::advance()
                 // Start the synchronization in a fresh chunk so its
                 // critical section shares a chunk with as little
                 // unrelated work as possible (Figure 6).
-                cur->endReached = true;
-                maybeArbitrate();
+                endChunk(*cur);
                 continue;
             }
             syncBusy = true;
@@ -429,6 +416,15 @@ BulkProcessor::advance()
             return;
         }
     }
+}
+
+void
+BulkProcessor::endChunk(Chunk &c)
+{
+    if (c.endReached)
+        return;
+    c.endReached = true;
+    maybeArbitrate();
 }
 
 void
@@ -450,94 +446,80 @@ BulkProcessor::maybeArbitrate()
     bstats.wSizeSum += static_cast<double>(front.wLines.size());
     bstats.wprivSizeSum += static_cast<double>(front.wprivLines.size());
 
-    auto w = std::make_shared<Signature>(front.w);
     std::uint64_t seq = front.seq;
     EVENT_TRACE(TraceEventType::ArbRequest, curTick(), trackProc(pid),
                 seq, front.execInstrs);
 
-    RProvider r_provider = [this, seq]() -> std::shared_ptr<Signature> {
-        Chunk *c = findChunk(seq);
-        return c ? std::make_shared<Signature>(c->r) : nullptr;
-    };
-
-    auto att = std::make_shared<ArbAttempt>();
-    att->txn = ++nextArbTxn;
-    att->seq = seq;
-    att->w = std::move(w);
-    att->rp = std::move(r_provider);
-    arbAttempts.emplace(att->txn, att);
-    sendArbAttempt(att);
+    std::uint64_t txn = ++nextArbTxn;
+    arbAttempts.emplace(
+        txn, ArbAttempt{seq, std::make_shared<const Signature>(front.w)});
+    sendArbAttempt(txn);
 }
 
 void
-BulkProcessor::sendArbAttempt(const std::shared_ptr<ArbAttempt> &att)
+BulkProcessor::sendArbAttempt(std::uint64_t txn)
 {
-    ++att->attempts;
-    if (att->attempts > 1) {
+    ArbAttempt &att = arbAttempts.at(txn);
+    unsigned sent = ++att.attempts;
+    if (sent > 1) {
         ++bstats.resends;
         EVENT_TRACE(TraceEventType::Resend, curTick(), trackProc(pid),
-                    att->seq, att->attempts - 1);
+                    att.seq, sent - 1);
     }
 
-    arb.requestCommit(pid, att->txn, att->w, att->rp,
-                      [this, att](bool granted) {
-        onArbReply(att, granted);
-    });
+    arb.requestCommit(pid, txn, att.seq, att.w);
 
     if (!resend)
         return;
 
     // Arm the timeout for this attempt. A reply (to any attempt of
-    // this transaction) disarms it by flipping att->replied. The
+    // this transaction) retires the record and so disarms it. The
     // jitter key decoheres retransmission storms across processors.
     eventq.scheduleAfter(
-        resendBackoff(resend->timeout, resend->timeoutCap,
-                      att->attempts,
+        resendBackoff(resend->timeout, resend->timeoutCap, sent,
                       (static_cast<std::uint64_t>(pid) << 48) ^
-                          (att->txn << 8)),
-        [this, att, sent = att->attempts] {
-            if (att->replied || att->attempts != sent)
+                          (txn << 8)),
+        [this, txn, sent] {
+            auto it = arbAttempts.find(txn);
+            if (it == arbAttempts.end() || it->second.attempts != sent)
                 return;
-            if (att->attempts > resend->maxResend) {
+            if (sent > resend->maxResend) {
                 // Give up: the request (or every reply) keeps
                 // vanishing. The processor stalls here and the
                 // watchdog turns the stall into a deadlock report.
                 ++bstats.resendGiveUps;
-                arbAttempts.erase(att->txn);
+                it->second.abandoned = true;
                 EVENT_TRACE(TraceEventType::ResendGiveUp, curTick(),
-                            trackProc(pid), att->seq, att->attempts);
+                            trackProc(pid), it->second.seq, sent);
                 return;
             }
-            sendArbAttempt(att);
+            sendArbAttempt(txn);
         });
 }
 
 void
-BulkProcessor::onArbReply(const std::shared_ptr<ArbAttempt> &att,
-                          bool granted)
+BulkProcessor::arbReply(std::uint64_t txn, bool granted)
 {
-    // Replies can be duplicated by the fault plane (or arrive once
-    // per retransmission of a decided transaction): only the first
-    // one acts.
-    if (att->replied)
+    // Replies can be duplicated by the fault plane (or arrive once per
+    // retransmission of a decided transaction): only the first one
+    // finds the record.
+    auto it = arbAttempts.find(txn);
+    if (it == arbAttempts.end())
         return;
-    att->replied = true;
-    arbAttempts.erase(att->txn);
+    ArbAttempt att = std::move(it->second);
+    arbAttempts.erase(it);
     if (resend)
-        bstats.resendAttempts.sample(
-            static_cast<double>(att->attempts));
+        bstats.resendAttempts.sample(static_cast<double>(att.attempts));
 
-    std::uint64_t seq = att->seq;
-    std::shared_ptr<Signature> w = att->w;
     EVENT_TRACE(granted ? TraceEventType::ArbGrant
                         : TraceEventType::ArbDeny,
-                curTick(), trackProc(pid), seq);
-    Chunk *c = findChunk(seq);
+                curTick(), trackProc(pid), att.seq);
+    Chunk *c = findChunk(att.seq);
     if (!c) {
         // The chunk was squashed while its request was in flight.
         if (granted) {
             ++bstats.abortedGrants;
-            arb.commitDone(w);
+            arb.commitDone(*att.w);
         }
         return;
     }
@@ -548,11 +530,18 @@ BulkProcessor::onArbReply(const std::shared_ptr<ArbAttempt> &att,
                              [this] { maybeArbitrate(); });
         return;
     }
-    onGranted(seq, w);
+    onGranted(att.seq, std::move(att.w));
+}
+
+SigPtr
+BulkProcessor::chunkR(std::uint64_t seq)
+{
+    Chunk *c = findChunk(seq);
+    return c ? std::make_shared<const Signature>(c->r) : nullptr;
 }
 
 void
-BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
+BulkProcessor::onGranted(std::uint64_t seq, SigPtr w)
 {
     Chunk *c = findChunk(seq);
     panic_if(!c, "granted chunk not found");
@@ -599,8 +588,9 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
     // Statically-private data stays coherent: Wpriv goes straight to
     // the directory for expansion (Section 5.1).
     if (bprm.statPrivOpt && !c->wpriv.empty()) {
-        auto wp = std::make_shared<Signature>(std::move(c->wpriv));
-        mem.bulkCommit(pid, wp, c->wprivLines, [] {});
+        mem.bulkCommit(pid, kUntrackedCommit,
+                       std::make_shared<const Signature>(std::move(c->wpriv)),
+                       c->wprivLines);
     }
 
     // The chunk dies with pop_front; its exact write lines outlive it
@@ -613,19 +603,41 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
     preArbPending = false;
 
     if (!w->empty()) {
-        ++committingCount;
+        committing.emplace(seq, w);
         EVENT_TRACE(TraceEventType::CommitBegin, curTick(),
                     trackProc(pid), seq, w_lines.size());
-        mem.bulkCommit(pid, w, w_lines,
-                       [this, w, seq] {
-                           EVENT_TRACE(TraceEventType::CommitEnd,
-                                       curTick(), trackProc(pid), seq);
-                           arb.commitDone(w);
-                           --committingCount;
-                           advance();
-                       },
-                       &bstats.invalNodes);
+        mem.bulkCommit(pid, seq, std::move(w), w_lines);
     }
+    advance();
+}
+
+void
+BulkProcessor::onCommitDone(std::uint64_t seq, unsigned inval_nodes)
+{
+    auto it = committing.find(seq);
+    if (it == committing.end())
+        return; // kUntrackedCommit
+    bstats.invalNodes += inval_nodes;
+    EVENT_TRACE(TraceEventType::CommitEnd, curTick(), trackProc(pid),
+                seq);
+    arb.commitDone(*it->second);
+    committing.erase(it);
+    advance();
+}
+
+void
+BulkProcessor::requestPreArb()
+{
+    preArbPending = true;
+    preArbWaiting = true;
+    ++bstats.preArbRequests;
+    arb.preArbitrate(pid);
+}
+
+void
+BulkProcessor::preArbGranted()
+{
+    preArbWaiting = false;
     advance();
 }
 
@@ -647,14 +659,7 @@ BulkProcessor::rescueBoost()
         if (c->targetSize > clamp)
             c->targetSize = clamp;
     }
-    preArbPending = true;
-    preArbWaiting = true;
-    ++bstats.preArbRequests;
-    arb.preArbitrate(pid, [this] {
-        preArbWaiting = false;
-        advance();
-        maybeArbitrate();
-    });
+    requestPreArb();
     // Chunks that already crossed the clamped target end on the next
     // charge; one that crossed it while stalled needs a nudge now.
     advance();
@@ -669,7 +674,9 @@ BulkProcessor::chunkStateDump() const
        << " consecutive=" << consecutiveSquashes
        << " lastCommit=" << lastCommit
        << " nextTarget=" << nextChunkTarget
-       << " inflightTxns=" << arbAttempts.size()
+       << " inflightTxns="
+       << std::count_if(arbAttempts.begin(), arbAttempts.end(),
+                        [](const auto &a) { return !a.second.abandoned; })
        << (finished() ? " FINISHED" : "") << "\n";
     for (const auto &c : chunks) {
         os << "  chunk seq=" << c->seq << " instrs=" << c->execInstrs
@@ -693,7 +700,7 @@ BulkProcessor::fingerprint() const
     h = mix64(h ^ (std::uint64_t{preArbPending} << 1) ^
               (std::uint64_t{preArbWaiting} << 2) ^
               (std::uint64_t{syncBusy} << 3));
-    h = mix64(h ^ committingCount);
+    h = mix64(h ^ committing.size());
     h = mix64(h ^ txnDepth);
     // Chunks are ordered (a deque), so a chained fold is fine.
     for (const auto &c : chunks) {
@@ -723,9 +730,12 @@ BulkProcessor::fingerprint() const
         h = mix64(h ^ e.opIdx ^ (e.chunkSeq << 20) ^
                   (std::uint64_t{e.completed} << 63));
     }
+    // An abandoned transaction waits only for a straggling reply.
     std::uint64_t at = 0;
-    for (const auto &[txn, att] : arbAttempts)
-        at += mix64(txn);
+    for (const auto &[txn, att] : arbAttempts) {
+        if (!att.abandoned)
+            at += mix64(txn);
+    }
     return mix64(h ^ at);
 }
 
@@ -806,15 +816,8 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
         shrunk > bprm.minChunkSize ? shrunk : bprm.minChunkSize;
 
     // Forward progress, measure 2: pre-arbitrate (Section 3.3).
-    if (consecutiveSquashes >= bprm.preArbThreshold && !preArbPending) {
-        preArbPending = true;
-        preArbWaiting = true;
-        ++bstats.preArbRequests;
-        arb.preArbitrate(pid, [this] {
-            preArbWaiting = false;
-            advance();
-        });
-    }
+    if (consecutiveSquashes >= bprm.preArbThreshold && !preArbPending)
+        requestPreArb();
 
     scheduleAdvance(curTick() + prm.squashPenalty);
 }
@@ -881,10 +884,8 @@ BulkProcessor::chargeInstrs(unsigned n)
     // synchronization operation is still in progress. This is what
     // lets a barrier arriver's count increment become visible while
     // the processor spins on the generation word (Section 3.3).
-    if (cur.execInstrs >= cur.targetSize && txnDepth == 0) {
-        cur.endReached = true;
-        maybeArbitrate();
-    }
+    if (cur.execInstrs >= cur.targetSize && txnDepth == 0)
+        endChunk(cur);
 }
 
 void
@@ -935,7 +936,7 @@ BulkProcessor::syncStage(SyncStage s)
     Chunk *c = nullptr;
     if (s != SyncStage::Drain) {
         c = currentChunk();
-    } else if (chunks.empty() && committingCount == 0) {
+    } else if (chunks.empty() && committing.empty()) {
         eventq.scheduleAfter(prm.ioLatency,
                              [this, e] { syncStep(e, 0); });
         return;

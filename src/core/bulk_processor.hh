@@ -133,19 +133,25 @@ struct BulkStats
 /**
  * A processor that executes chunks all the time (Figure 5).
  */
-class BulkProcessor : public ProcessorBase
+class BulkProcessor : public ProcessorBase, public ArbiterClient
 {
   public:
     BulkProcessor(EventQueue &eq, const std::string &name, ProcId pid,
                   MemorySystem &mem, const Trace &trace,
                   const CpuParams &cpu_params,
-                  const BulkParams &bulk_params, ArbiterIface &arb);
+                  const BulkParams &bulk_params, ArbiterCore &arb);
 
     // CacheListener
     void onRemoteWSig(const Signature &w) override;
     void onLineDisplaced(LineAddr line, bool dirty) override;
     bool mayVictimize(LineAddr line) override;
     void onExternalOwnerFetch(LineAddr line) override;
+    void onCommitDone(std::uint64_t seq, unsigned inval_nodes) override;
+
+    // ArbiterClient
+    void arbReply(std::uint64_t txn, bool granted) override;
+    SigPtr chunkR(std::uint64_t seq) override;
+    void preArbGranted() override;
 
     const BulkStats &bulkStats() const { return bstats; }
 
@@ -267,33 +273,40 @@ class BulkProcessor : public ProcessorBase
     bool anyLiveWExact(LineAddr line) const;
     bool anyLiveWpriv(LineAddr line) const;
 
+    /** End @p c (it takes no more instructions) and arbitrate if it
+     *  is ready. */
+    void endChunk(Chunk &c);
+
     void maybeArbitrate();
-    void onGranted(std::uint64_t seq, std::shared_ptr<Signature> w);
+    void onGranted(std::uint64_t seq, SigPtr w);
     void squashFrom(std::size_t idx, SquashCause cause);
 
+    /** Reserve the arbiter (pre-arbitration, Section 3.3); the
+     *  processor stalls until preArbGranted(). */
+    void requestPreArb();
+
     /**
-     * One commit-permission attempt in flight: the transaction id, the
-     * signatures it travels with, and the resend bookkeeping. Kept in
-     * arbAttempts until a reply lands or the resends are exhausted, so
-     * a late (or duplicated) reply can still clean up the arbiter's W
-     * list even if the chunk is long gone.
+     * One commit-permission transaction: the chunk, the W it travels
+     * with, and the resend bookkeeping. Kept in arbAttempts under its
+     * transaction id until the first reply lands, even after the
+     * resends are exhausted (abandoned), so a late reply still commits
+     * the chunk or returns its W to the arbiter.
      */
     struct ArbAttempt
     {
-        std::uint64_t txn = 0;
         std::uint64_t seq = 0;
-        std::shared_ptr<Signature> w;
-        RProvider rp;
+        SigPtr w;
         unsigned attempts = 0;
-        bool replied = false;
+        bool abandoned = false;
     };
 
-    /** Transmit (or retransmit) @p att and arm the resend timer. */
-    void sendArbAttempt(const std::shared_ptr<ArbAttempt> &att);
+    /** Transmit (or retransmit) transaction @p txn and arm its resend
+     *  timer. */
+    void sendArbAttempt(std::uint64_t txn);
 
-    /** Reply handler shared by all (re)transmissions of @p att. */
-    void onArbReply(const std::shared_ptr<ArbAttempt> &att,
-                    bool granted);
+    /** Commit tag of a statically-private Wpriv: never recorded in
+     *  `committing`, so its completion changes nothing. */
+    static constexpr std::uint64_t kUntrackedCommit = ~std::uint64_t{0};
 
     /** Stages of the sync primitive in flight. */
     enum class SyncStage : std::uint8_t
@@ -309,7 +322,7 @@ class BulkProcessor : public ProcessorBase
     void syncStage(SyncStage s);
 
     BulkParams bprm;
-    ArbiterIface &arb;
+    ArbiterCore &arb;
     std::optional<ResendConfig> resend; //!< set iff hardened
 
     std::deque<std::unique_ptr<Chunk>> chunks;
@@ -325,9 +338,12 @@ class BulkProcessor : public ProcessorBase
     /** Commit-permission transaction counter (ids are per-proc). */
     std::uint64_t nextArbTxn = 0;
 
-    /** In-flight commit-permission attempts by transaction id. */
-    std::unordered_map<std::uint64_t, std::shared_ptr<ArbAttempt>>
-        arbAttempts;
+    /** Commit-permission transactions awaiting a reply, by id. */
+    std::unordered_map<std::uint64_t, ArbAttempt> arbAttempts;
+
+    /** W of each chunk committing through the directories, by chunk
+     *  seq (the bulkCommit tag). */
+    std::unordered_map<std::uint64_t, SigPtr> committing;
 
     std::deque<WinEntry> window;
     Tick fetchAvail = 0;
@@ -340,8 +356,6 @@ class BulkProcessor : public ProcessorBase
     std::optional<RmwKind> syncRmwKind;   //!< set for an RMW's load
 
     PrivateBuffer privBuf;
-
-    unsigned committingCount = 0;
 
     bool preArbPending = false;
     bool preArbWaiting = false;

@@ -13,7 +13,8 @@
 #ifndef BULKSC_CORE_DISTRIBUTED_ARBITER_HH
 #define BULKSC_CORE_DISTRIBUTED_ARBITER_HH
 
-#include <memory>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/arbiter.hh"
@@ -39,11 +40,10 @@ class DistributedArbiter : public ArbiterCore
     DistributedArbiter(EventQueue &eq, Network &net, NodeId first_node,
                        unsigned count, Tick processing, bool rsig_opt);
 
-    void requestCommit(ProcId p, std::uint64_t txn,
-                       std::shared_ptr<Signature> w,
-                       RProvider r_provider, Reply reply) override;
+    void requestCommit(ProcId p, std::uint64_t txn, std::uint64_t seq,
+                       SigPtr w) override;
 
-    void commitDone(const std::shared_ptr<Signature> &w) override;
+    void commitDone(const Signature &w) override;
 
     std::uint64_t fingerprint() const override;
 
@@ -54,27 +54,42 @@ class DistributedArbiter : public ArbiterCore
     std::uint64_t multiRangeCommits() const { return nMulti; }
 
   private:
-    struct Module
+    /** A multi-range request at the G-arbiter, from the fan-out to the
+     *  combined decision (Figure 8(b)). */
+    struct VoteRecord
     {
-        std::vector<std::shared_ptr<Signature>> wList;
+        SigPtr w;
+        SigPtr r;
+        unsigned pending = 0; //!< module votes still to come
+        bool ok = true;
+        bool wasOwner = false;
+        std::vector<unsigned> reserved; //!< modules that listed W
     };
+
+    using VoteKey = std::pair<ProcId, std::uint64_t>; //!< (proc, txn)
 
     unsigned rangeOf(LineAddr line) const;
 
     /** Ranges touched by a signature's (exact) line set. */
     std::vector<unsigned> rangesOf(const Signature &s) const;
 
-    bool moduleCollides(unsigned m, const Signature &s) const;
+    /** The sorted ranges a request involves (W's and R's; range 0 if
+     *  none); W's own ranges go to @p w_ranges. */
+    std::vector<unsigned> routeOf(const Signature &w, const SigPtr &r,
+                                  std::vector<unsigned> &w_ranges) const;
 
-    void removeFrom(std::vector<std::shared_ptr<Signature>> &list,
-                    const std::shared_ptr<Signature> &w);
+    /** Module @p m votes on the G-arbiter's record (p, txn). */
+    void moduleVote(VoteKey key, unsigned m, bool w_here);
 
     NodeId firstNode;
+    NodeId gNode; //!< the G-arbiter
     Tick processing;
     bool rsigOpt;
 
-    std::vector<Module> modules;
-    std::vector<std::shared_ptr<Signature>> gList;
+    /** The W list of each module. */
+    std::vector<std::vector<SigPtr>> moduleW;
+    std::vector<SigPtr> gList;
+    std::map<VoteKey, VoteRecord> votes;
 
     std::uint64_t nSingle = 0;
     std::uint64_t nMulti = 0;

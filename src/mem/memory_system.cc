@@ -22,7 +22,7 @@ lineFp(LineAddr line)
 
 /** Footprint of a W-signature-carrying message (exploration). */
 MsgFootprint
-wsigFp(std::shared_ptr<const Signature> w)
+wsigFp(SigPtr w)
 {
     MsgFootprint fp;
     fp.wsig = std::move(w);
@@ -228,13 +228,7 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
         } else if (requester_had_copy) {
             lat = 1; // upgrade: no data transfer needed
         } else {
-            CacheLine *l2e = l2.lookup(line);
-            if (l2e) {
-                lat = prm.l2Latency;
-            } else {
-                lat = prm.memLatency;
-                l2Insert(line, LineState::Shared);
-            }
+            lat = fetchShared(line);
         }
         if (to_inval) {
             Tick inval_lat = 2 * net.latencyFor(64) + 2;
@@ -255,13 +249,7 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
                      256, [] {}, lineFp(line));
             lat = prm.l2Latency + 2 * net.latencyFor(256);
         } else {
-            CacheLine *l2e = l2.lookup(line);
-            if (l2e) {
-                lat = prm.l2Latency;
-            } else {
-                lat = prm.memLatency;
-                l2Insert(line, LineState::Shared);
-            }
+            lat = fetchShared(line);
         }
     }
 
@@ -306,15 +294,9 @@ MemorySystem::finishFill(ProcId p, LineAddr line, MemCmd cmd)
 
     if (vic) {
         if (vic->dirty) {
-            ++nWritebacks;
-            net.send(p, prm.numProcs + dirOf(vic->line),
-                     TrafficClass::DataRdWr, 256, [] {},
-                     lineFp(vic->line));
-            l2Insert(vic->line, LineState::Dirty);
-            dirs[dirOf(vic->line)]->recordWriteback(vic->line, p);
+            writebackLine(p, vic->line);
             dirs[dirOf(vic->line)]->dropSharer(vic->line, p);
-        }
-        if (!vic->dirty) {
+        } else {
             // Replacement hint: keep the bit-vector precise so W
             // signatures are only forwarded to live sharers.
             net.send(p, prm.numProcs + dirOf(vic->line),
@@ -379,6 +361,15 @@ MemorySystem::handleDirDisplacements(
     }
 }
 
+Tick
+MemorySystem::fetchShared(LineAddr line)
+{
+    if (l2.lookup(line))
+        return prm.l2Latency;
+    l2Insert(line, LineState::Shared);
+    return prm.memLatency;
+}
+
 void
 MemorySystem::l2Insert(LineAddr line, LineState st)
 {
@@ -398,13 +389,18 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
 
     // Delta-decode bank 0 into candidate cache sets, then probe each
     // resident line for membership (bulk invalidation, Section 2.2).
+    // A bank-0 index is the line's low-order bits, so a bank narrower
+    // than the set count covers every set congruent to it.
+    const std::uint64_t bank_bits = w.config().bitsPerBank();
     std::vector<std::uint32_t> sets;
     std::vector<bool> seen(num_sets, false);
     for (std::uint32_t idx : w.decodeBank0()) {
-        std::uint32_t set = idx % num_sets;
-        if (!seen[set]) {
-            seen[set] = true;
-            sets.push_back(set);
+        for (std::uint64_t set = idx % num_sets; set < num_sets;
+             set += bank_bits) {
+            if (!seen[set]) {
+                seen[set] = true;
+                sets.push_back(static_cast<std::uint32_t>(set));
+            }
         }
     }
 
@@ -439,11 +435,7 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
         if (e && e->state == LineState::Dirty && !spec_data) {
             // Committed dirty data hit by (aliased) bulk invalidation:
             // write it back before dropping the line.
-            ++nWritebacks;
-            net.send(p, prm.numProcs + dirOf(line),
-                     TrafficClass::DataRdWr, 256, [] {}, lineFp(line));
-            l2Insert(line, LineState::Dirty);
-            dirs[dirOf(line)]->recordWriteback(line, p);
+            writebackLine(p, line);
         }
         c.array.invalidate(line);
         dirs[dirOf(line)]->dropSharer(line, p);
@@ -451,13 +443,12 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
 }
 
 void
-MemorySystem::bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
-                         const std::unordered_set<LineAddr> &w_lines,
-                         std::function<void()> done,
-                         unsigned *inval_nodes_out)
+MemorySystem::bulkCommit(ProcId committer, std::uint64_t tag, SigPtr w,
+                         const std::unordered_set<LineAddr> &w_lines)
 {
     if (w->empty()) {
-        done();
+        if (CacheListener *l = l1s[committer].listener)
+            l->onCommitDone(tag, 0);
         return;
     }
 
@@ -479,74 +470,34 @@ MemorySystem::bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
             involved.push_back(0);
     }
 
-    auto remaining = std::make_shared<unsigned>(
-        static_cast<unsigned>(involved.size()));
-    auto user_done = std::make_shared<std::function<void()>>(
-        std::move(done));
-
+    std::uint64_t commit = ++nextCommit;
+    commits.emplace(commit,
+                    CommitRecord{committer, tag, std::move(w),
+                                 static_cast<unsigned>(involved.size()),
+                                 0});
     for (unsigned d : involved) {
-        auto txn = std::make_shared<CommitTxn>();
-        // Service-time start, filled in when W reaches the module (the
-        // shared_ptr keeps the txn free of a self-referential capture).
-        auto start = std::make_shared<Tick>(0);
-        txn->w = w;
-        txn->onDone = [this, d, remaining, user_done, w, start] {
-            dirCommitService.sample(
-                static_cast<double>(curTick() - *start));
-            auto &list = committingSigs[d];
-            for (auto it = list.begin(); it != list.end(); ++it) {
-                if (it->get() == w.get()) {
-                    list.erase(it);
-                    break;
-                }
-            }
-            if (--*remaining == 0)
-                (*user_done)();
-        };
-        txn->invalNodesOut = inval_nodes_out;
-        sendCommitW(committer, d, txn, start, ++nextCommitId,
-                    std::make_shared<bool>(false), 1);
+        std::uint64_t id = ++nextCommitMsg;
+        dirCommits.emplace(id, DirCommit{commit, d});
+        sendCommitW(id, 1);
     }
 }
 
 void
-MemorySystem::sendCommitW(ProcId committer, unsigned d,
-                          const std::shared_ptr<CommitTxn> &txn,
-                          const std::shared_ptr<Tick> &start,
-                          std::uint64_t id,
-                          const std::shared_ptr<bool> &delivered,
-                          unsigned attempt)
+MemorySystem::sendCommitW(std::uint64_t id, unsigned attempt)
 {
+    const DirCommit &dc = dirCommits.at(id);
+    const CommitRecord &cr = commits.at(dc.commit);
+    unsigned d = dc.dir;
     if (attempt > 1) {
         ++nCommitResends;
         EVENT_TRACE(TraceEventType::Resend, curTick(), trackDir(d), id,
                     attempt - 1);
     }
 
-    auto deliver = [this, d, committer, txn, start, id, delivered] {
-        if (*delivered)
-            return; // duplicate or late retransmission
-        if (faults &&
-            faults->dropMessage(
-                FaultKind::DirNack, curTick(),
-                static_cast<int>(TrafficClass::WrSig))) {
-            // The module refuses service (resource pressure); no
-            // explicit nack message travels — the committer's timeout
-            // drives the retry.
-            ++nDirNacks;
-            EVENT_TRACE(TraceEventType::DirNack, curTick(),
-                        trackDir(d), id, 0);
-            return;
-        }
-        *delivered = true;
-        *start = curTick();
-        committingSigs[d].push_back(txn->w);
-        dirHandleCommit(d, committer, txn);
-    };
-
-    if (net.sendLossy(committer, prm.numProcs + d, TrafficClass::WrSig,
-                      txn->w->compressedBits(), FaultKind::DirCommitLoss,
-                      true, deliver, wsigFp(txn->w))) {
+    if (net.sendLossy(cr.committer, prm.numProcs + d, TrafficClass::WrSig,
+                      cr.w->compressedBits(), FaultKind::DirCommitLoss,
+                      true, [this, id] { commitWArrived(id); },
+                      wsigFp(cr.w))) {
         EVENT_TRACE(TraceEventType::FaultInject, curTick(), trackDir(d),
                     id,
                     static_cast<std::uint64_t>(
@@ -559,9 +510,9 @@ MemorySystem::sendCommitW(ProcId committer, unsigned d,
     Tick delay = resendBackoff(resend->timeout, resend->timeoutCap,
                                attempt,
                                (std::uint64_t{0xd1} << 56) ^ (id << 8));
-    eventq.scheduleAfter(delay, [this, committer, d, txn, start, id,
-                                 delivered, attempt] {
-        if (*delivered)
+    eventq.scheduleAfter(delay, [this, id, attempt] {
+        auto it = dirCommits.find(id);
+        if (it == dirCommits.end() || it->second.delivered)
             return;
         if (attempt > resend->maxResend) {
             // Give up: this directory never saw the W, the commit can
@@ -569,63 +520,97 @@ MemorySystem::sendCommitW(ProcId committer, unsigned d,
             // exactly what the watchdog exists to report.
             ++nCommitAbandoned;
             EVENT_TRACE(TraceEventType::ResendGiveUp, curTick(),
-                        trackDir(d), id, attempt);
+                        trackDir(it->second.dir), id, attempt);
             return;
         }
-        sendCommitW(committer, d, txn, start, id, delivered,
-                    attempt + 1);
+        sendCommitW(id, attempt + 1);
     });
 }
 
 void
-MemorySystem::dirHandleCommit(unsigned dir_idx, ProcId committer,
-                              const std::shared_ptr<CommitTxn> &txn)
+MemorySystem::commitWArrived(std::uint64_t id)
 {
-    ExpansionResult res = dirs[dir_idx]->expand(*txn->w, committer);
-    EVENT_TRACE(TraceEventType::DirExpand, curTick(), trackDir(dir_idx),
+    auto it = dirCommits.find(id);
+    if (it == dirCommits.end() || it->second.delivered)
+        return; // duplicate or late retransmission
+    DirCommit &dc = it->second;
+    if (faults &&
+        faults->dropMessage(FaultKind::DirNack, curTick(),
+                            static_cast<int>(TrafficClass::WrSig))) {
+        // The module refuses service (resource pressure); no explicit
+        // nack message travels — the committer's timeout drives the
+        // retry.
+        ++nDirNacks;
+        EVENT_TRACE(TraceEventType::DirNack, curTick(), trackDir(dc.dir),
+                    id, 0);
+        return;
+    }
+    dc.delivered = true;
+    dc.start = curTick();
+    const CommitRecord &cr = commits.at(dc.commit);
+    committingSigs[dc.dir].push_back(cr.w);
+
+    ExpansionResult res = dirs[dc.dir]->expand(*cr.w, cr.committer);
+    EVENT_TRACE(TraceEventType::DirExpand, curTick(), trackDir(dc.dir),
                 0, res.lookups);
     nDirLookups += res.lookups;
     nDirAliasLookups += res.aliasLookups;
     nDirUpdates += res.updates;
     nDirAliasUpdates += res.aliasUpdates;
 
+    // After the expansion, W goes to the sharers in the Invalidation
+    // List (Section 4.3).
     Tick exp_lat = res.lookups ? static_cast<Tick>(res.lookups) : 1;
-
-    eventq.scheduleAfter(exp_lat, [this, dir_idx, committer, txn,
+    eventq.scheduleAfter(exp_lat, [this, id,
                                    inval_list = res.invalidationList] {
-        std::uint32_t targets =
-            inval_list & ~(1u << committer);
+        DirCommit &dc = dirCommits.at(id);
+        CommitRecord &cr = commits.at(dc.commit);
+        std::uint32_t targets = inval_list & ~(1u << cr.committer);
         unsigned count = static_cast<unsigned>(std::popcount(targets));
-        if (txn->invalNodesOut)
-            *txn->invalNodesOut += count;
+        cr.invalNodes += count;
         if (count == 0) {
-            txn->onDone();
+            commitModuleDone(id);
             return;
         }
-        txn->acksPending = count;
-        std::uint32_t bits = targets;
-        while (bits) {
+        dc.acksPending = count;
+        const unsigned d = dc.dir;
+        for (std::uint32_t bits = targets; bits; bits &= bits - 1) {
             ProcId q = static_cast<ProcId>(std::countr_zero(bits));
-            bits &= bits - 1;
-            net.send(prm.numProcs + dir_idx, q, TrafficClass::WrSig,
-                     txn->w->compressedBits(), [this, dir_idx, q, txn] {
-                         EVENT_TRACE(TraceEventType::BulkInval,
-                                     curTick(), trackProc(q), 0,
-                                     dir_idx, 0);
-                         if (l1s[q].listener)
-                             l1s[q].listener->onRemoteWSig(*txn->w);
-                         applyBulkInval(q, *txn->w, nullptr);
-                         net.send(q, prm.numProcs + dir_idx,
-                                  TrafficClass::Inval, 16,
-                                  [txn] {
-                                      if (--txn->acksPending == 0)
-                                          txn->onDone();
-                                  },
-                                  wsigFp(txn->w));
-                     },
-                     wsigFp(txn->w));
+            net.send(prm.numProcs + d, q, TrafficClass::WrSig,
+                     cr.w->compressedBits(), [this, id, d, q] {
+                SigPtr w = commits.at(dirCommits.at(id).commit).w;
+                EVENT_TRACE(TraceEventType::BulkInval, curTick(),
+                            trackProc(q), 0, d, 0);
+                if (l1s[q].listener)
+                    l1s[q].listener->onRemoteWSig(*w);
+                applyBulkInval(q, *w, nullptr);
+                net.send(q, prm.numProcs + d, TrafficClass::Inval, 16,
+                         [this, id] {
+                             if (--dirCommits.at(id).acksPending == 0)
+                                 commitModuleDone(id);
+                         },
+                         wsigFp(w));
+            }, wsigFp(cr.w));
         }
     });
+}
+
+void
+MemorySystem::commitModuleDone(std::uint64_t id)
+{
+    auto it = dirCommits.find(id);
+    DirCommit dc = it->second;
+    dirCommits.erase(it);
+    dirCommitService.sample(static_cast<double>(curTick() - dc.start));
+    auto cit = commits.find(dc.commit);
+    CommitRecord &cr = cit->second;
+    eraseSig(committingSigs[dc.dir], *cr.w);
+    if (--cr.modulesPending != 0)
+        return;
+    CommitRecord done = std::move(cr);
+    commits.erase(cit);
+    if (CacheListener *l = l1s[done.committer].listener)
+        l->onCommitDone(done.tag, done.invalNodes);
 }
 
 void

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -80,6 +79,15 @@ class CacheListener
      * added back to W (Section 5.2).
      */
     virtual void onExternalOwnerFetch(LineAddr) {}
+
+    /**
+     * This processor's commit tagged @p tag (see bulkCommit) finished:
+     * every involved directory module collected its acknowledgements.
+     * @p inval_nodes processors were sent W (Table 4 "Nodes per W
+     * Sig").
+     */
+    virtual void onCommitDone(std::uint64_t /*tag*/,
+                              unsigned /*inval_nodes*/) {}
 };
 
 /** Memory system configuration (defaults follow the paper's Table 2). */
@@ -114,7 +122,7 @@ struct MemParams
 class MemorySystem : public SimObject
 {
   public:
-    using AccessCallback = std::function<void()>;
+    using AccessCallback = InlineCallback;
 
     MemorySystem(EventQueue &eq, Network &net, const MemParams &params);
 
@@ -165,22 +173,20 @@ class MemorySystem : public SimObject
 
     /**
      * Commit a chunk's W signature (arbitration already granted):
-     * W travels to each directory module, is expanded (Table 1),
+     * W travels to each directory module, is expanded (Table 1), and
      * forwarded to the Invalidation List for disambiguation and bulk
-     * invalidation, and @p done fires when every module has collected
-     * its acknowledgements (the arbiter may then drop W).
+     * invalidation. When every module has collected its
+     * acknowledgements, the committer's listener gets
+     * onCommitDone(@p tag, ...) (the arbiter may then drop W); for an
+     * empty W, before this returns.
      *
-     * @param w Shared so in-flight commits keep it alive.
+     * @param tag The committer's name for this commit.
      * @param w_lines The chunk's exact written lines (Chunk::wLines),
      *        used to pick the involved directory modules. Only read
      *        synchronously, so a stack-local set is fine.
-     * @param inval_nodes_out If non-null, receives the total number of
-     *        processors that were sent W (Table 4 "Nodes per W Sig").
      */
-    void bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
-                    const std::unordered_set<LineAddr> &w_lines,
-                    std::function<void()> done,
-                    unsigned *inval_nodes_out = nullptr);
+    void bulkCommit(ProcId committer, std::uint64_t tag, SigPtr w,
+                    const std::unordered_set<LineAddr> &w_lines);
 
     /**
      * Discard @p p's speculatively written lines (all lines of its L1
@@ -226,8 +232,6 @@ class MemorySystem : public SimObject
     unsigned numDirs() const { return static_cast<unsigned>(dirs.size()); }
 
     const MemParams &params() const { return prm; }
-
-    Network &network() { return net; }
 
     /** Dump aggregate statistics into @p sg under @p prefix. */
     void dumpStats(StatGroup &sg, const std::string &prefix = "mem.") const;
@@ -277,13 +281,30 @@ class MemorySystem : public SimObject
         CacheListener *listener = nullptr;
     };
 
-    /** State of one W commit at one directory module. */
-    struct CommitTxn
+    /** One chunk's W commit, across its directory modules. */
+    struct CommitRecord
     {
-        std::shared_ptr<Signature> w;
+        ProcId committer = 0;
+        std::uint64_t tag = 0;
+        SigPtr w;
+        unsigned modulesPending = 0;
+        unsigned invalNodes = 0;
+    };
+
+    /**
+     * One W commit at one directory module, keyed by the id of the
+     * message that carries W there (retransmissions reuse it). Erased
+     * once the module has its acknowledgements, so a late copy of W
+     * finds nothing; kept after a resend give-up, so a straggling
+     * copy still completes it.
+     */
+    struct DirCommit
+    {
+        std::uint64_t commit = 0; //!< its CommitRecord
+        unsigned dir = 0;
+        bool delivered = false;
+        Tick start = 0; //!< W reached the module (service-time start)
         unsigned acksPending = 0;
-        std::function<void()> onDone;
-        unsigned *invalNodesOut = nullptr;
     };
 
     void dispatchMiss(ProcId p, LineAddr line);
@@ -300,26 +321,29 @@ class MemorySystem : public SimObject
     void applyBulkInval(ProcId p, const Signature &w,
                         const std::unordered_set<LineAddr> *spec_lines);
 
+    /** Data for a read of @p line that no L1 owns: @return the L2
+     *  latency on a hit, else fill the L2 from memory. */
+    Tick fetchShared(LineAddr line);
+
     /** Insert @p line into the L2 in state @p st, counting a dirty L2
      *  victim as a writeback to memory. */
     void l2Insert(LineAddr line, LineState st);
     void handleDirDisplacements(
         unsigned dir_idx, const std::vector<DirDisplacement> &disp);
-    void dirHandleCommit(unsigned dir_idx, ProcId committer,
-                         const std::shared_ptr<CommitTxn> &txn);
-
     /**
-     * (Re)send a commit W to directory @p d, with loss/duplication
+     * (Re)send the W of directory commit @p id, with loss/duplication
      * injection on the wire, nack injection at arrival, idempotent
-     * delivery (via @p delivered), and — when hardening is armed — a
-     * timeout-driven resend chain with exponential backoff.
+     * delivery, and — when hardening is armed — a timeout-driven
+     * resend chain with exponential backoff.
      */
-    void sendCommitW(ProcId committer, unsigned d,
-                     const std::shared_ptr<CommitTxn> &txn,
-                     const std::shared_ptr<Tick> &start,
-                     std::uint64_t id,
-                     const std::shared_ptr<bool> &delivered,
-                     unsigned attempt);
+    void sendCommitW(std::uint64_t id, unsigned attempt);
+
+    /** A copy of directory commit @p id's W reached its module:
+     *  expand it there. */
+    void commitWArrived(std::uint64_t id);
+
+    /** Directory commit @p id collected its acknowledgements. */
+    void commitModuleDone(std::uint64_t id);
 
     CacheArray::VictimFilter filterFor(ProcId p);
 
@@ -328,8 +352,10 @@ class MemorySystem : public SimObject
     FaultPlane *faults = nullptr;
     std::optional<ResendConfig> resend; //!< set iff hardened
 
-    /** Commit-service message ids (dedup/trace labelling). */
-    std::uint64_t nextCommitId = 0;
+    std::uint64_t nextCommit = 0;   //!< CommitRecord ids
+    std::uint64_t nextCommitMsg = 0; //!< DirCommit ids (trace labels)
+    std::unordered_map<std::uint64_t, CommitRecord> commits;
+    std::unordered_map<std::uint64_t, DirCommit> dirCommits;
 
     std::vector<L1> l1s;
     CacheArray l2;
@@ -337,7 +363,7 @@ class MemorySystem : public SimObject
 
     /** Per-directory list of currently-committing W signatures (read
      *  bounce, Section 4.3.2). */
-    std::vector<std::vector<std::shared_ptr<Signature>>> committingSigs;
+    std::vector<std::vector<SigPtr>> committingSigs;
 
     std::unordered_map<Addr, std::uint64_t> values;
 

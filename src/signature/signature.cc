@@ -350,4 +350,26 @@ Signature::compressedBits() const
     return total;
 }
 
+bool
+anyIntersects(const std::vector<SigPtr> &list, const Signature &s)
+{
+    for (const SigPtr &w : list) {
+        if (w->intersects(s))
+            return true;
+    }
+    return false;
+}
+
+bool
+eraseSig(std::vector<SigPtr> &list, const Signature &w)
+{
+    for (auto it = list.begin(); it != list.end(); ++it) {
+        if (it->get() == &w) {
+            list.erase(it);
+            return true;
+        }
+    }
+    return false;
+}
+
 } // namespace bulksc

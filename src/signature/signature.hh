@@ -29,6 +29,7 @@
 #define BULKSC_SIGNATURE_SIGNATURE_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -215,6 +216,17 @@ class Signature
     };
     mutable HashMemo memo;
 };
+
+/** An immutable signature shared by the messages and lists that carry
+ *  it: a committing chunk's W, or an R snapshot on its way to an
+ *  arbiter. Lists identify a W by address, not by value. */
+using SigPtr = std::shared_ptr<const Signature>;
+
+/** True iff some signature of @p list intersects @p s. */
+bool anyIntersects(const std::vector<SigPtr> &list, const Signature &s);
+
+/** Remove @p w itself from @p list. @return false if it was absent. */
+bool eraseSig(std::vector<SigPtr> &list, const Signature &w);
 
 } // namespace bulksc
 

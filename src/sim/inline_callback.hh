@@ -30,14 +30,16 @@ class InlineCallback
 {
   public:
     /** Inline capture budget. Processor, sync-engine and memory-request
-     *  events (this, an epoch and a few scalars) take at most 32 bytes,
-     *  and the largest closures that fit (an arbiter reply, a directory
-     *  commit step) 40. Arbiter decisions and the commit fan-out carry
-     *  several std::function or shared_ptr captures and take the heap
-     *  cell. */
+     *  events (this, an epoch and a few scalars) take at most 32 bytes.
+     *  Commit-protocol events name their records by id and carry at
+     *  most the immutable W and R (two shared_ptrs); the largest, an
+     *  arbiter's request delivery or decision step, takes 64. */
     static constexpr std::size_t kInlineBytes = 64;
 
     InlineCallback() noexcept = default;
+
+    /** The empty callback (a memory access nobody waits for). */
+    InlineCallback(std::nullptr_t) noexcept {} // NOLINT: implicit
 
     template <typename F,
               typename = std::enable_if_t<!std::is_same_v<

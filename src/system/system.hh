@@ -147,7 +147,7 @@ class System
     FaultPlane faults;
     std::unique_ptr<Network> net;
     std::unique_ptr<MemorySystem> memSys;
-    std::unique_ptr<ArbiterIface> arb;
+    std::unique_ptr<ArbiterCore> arb;
     std::vector<std::unique_ptr<ProcessorBase>> procs;
     std::unique_ptr<Watchdog> dog;
     std::unique_ptr<AnalysisEngine> engine;

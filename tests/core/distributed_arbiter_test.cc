@@ -6,19 +6,49 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "core/distributed_arbiter.hh"
 
 namespace bulksc {
 namespace {
+
+/** Records one processor's replies; serves its chunks' R. */
+struct FakeClient : public ArbiterClient
+{
+    std::unordered_map<std::uint64_t, bool> decision; //!< by txn
+    std::unordered_map<std::uint64_t, SigPtr> rOf;    //!< by seq
+    unsigned preArbGrants = 0;
+
+    void
+    arbReply(std::uint64_t txn, bool ok) override
+    {
+        decision[txn] = ok;
+    }
+
+    SigPtr
+    chunkR(std::uint64_t seq) override
+    {
+        auto it = rOf.find(seq);
+        return it == rOf.end() ? nullptr : it->second;
+    }
+
+    void preArbGranted() override { ++preArbGrants; }
+};
+
+constexpr ProcId kProcs = 4;
 
 struct Harness
 {
     explicit Harness(unsigned modules = 4)
         : net(eq, NetworkConfig{}),
           arb(eq, net, 16, modules, /*processing=*/5, /*rsig=*/true)
-    {}
+    {
+        for (ProcId p = 0; p < kProcs; ++p)
+            arb.setClient(p, &clients[p]);
+    }
 
-    std::shared_ptr<Signature>
+    SigPtr
     sig(std::initializer_list<LineAddr> lines)
     {
         auto s = std::make_shared<Signature>();
@@ -28,20 +58,20 @@ struct Harness
     }
 
     bool
-    request(ProcId p, std::shared_ptr<Signature> r,
-            std::shared_ptr<Signature> w)
+    request(ProcId p, SigPtr r, SigPtr w)
     {
-        bool granted = false;
-        arb.requestCommit(
-            p, ++txn, std::move(w), [r] { return r; },
-            [&](bool ok) { granted = ok; });
+        std::uint64_t t = ++txn;
+        clients[p].rOf[t] = std::move(r);
+        arb.requestCommit(p, t, /*seq=*/t, std::move(w));
         eq.run();
-        return granted;
+        auto it = clients[p].decision.find(t);
+        return it != clients[p].decision.end() && it->second;
     }
 
     EventQueue eq;
     Network net;
     DistributedArbiter arb;
+    FakeClient clients[kProcs];
     std::uint64_t txn = 0; //!< fresh transaction id per request
 };
 
@@ -86,7 +116,7 @@ TEST(DistributedArbiter, MultiRangeCollisionDenied)
     EXPECT_FALSE(h.request(1, h.sig({1 * 1024}),
                            h.sig({2 * 1024, 3 * 1024})));
     // After the first commit completes, it is granted.
-    h.arb.commitDone(w);
+    h.arb.commitDone(*w);
     EXPECT_TRUE(h.request(1, h.sig({1 * 1024}),
                           h.sig({2 * 1024, 3 * 1024})));
 }
@@ -108,7 +138,7 @@ TEST(DistributedArbiter, CommitDoneReleasesAllRanges)
     auto w = h.sig({0, 1 * 1024, 2 * 1024, 3 * 1024});
     ASSERT_TRUE(h.request(0, h.sig({}), w));
     EXPECT_FALSE(h.request(1, h.sig({2 * 1024}), h.sig({})));
-    h.arb.commitDone(w);
+    h.arb.commitDone(*w);
     EXPECT_TRUE(h.request(1, h.sig({2 * 1024}), h.sig({})));
 }
 
@@ -122,10 +152,9 @@ TEST(DistributedArbiter, EmptySignaturesGrantImmediately)
 TEST(DistributedArbiter, PreArbitrationAcrossModules)
 {
     Harness h;
-    bool granted = false;
-    h.arb.preArbitrate(3, [&] { granted = true; });
+    h.arb.preArbitrate(3);
     h.eq.run();
-    ASSERT_TRUE(granted);
+    ASSERT_EQ(h.clients[3].preArbGrants, 1u);
     EXPECT_FALSE(h.request(0, h.sig({}), h.sig({0})));
     EXPECT_TRUE(h.request(3, h.sig({}), h.sig({0})));
     EXPECT_TRUE(h.request(0, h.sig({}), h.sig({1})));

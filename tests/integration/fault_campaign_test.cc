@@ -136,6 +136,30 @@ TEST(FaultCampaign, DistributedArbiterAbsorbsDuplicatedRequests)
     EXPECT_GT(r.stats.get("arb.dup_requests"), 0.0);
 }
 
+TEST(FaultCampaign, GrantAfterResendGiveUpStillCommits)
+{
+    // Every arbiter reply (Other traffic) lands 700 ticks late, after
+    // the committer's two sends timed out and it gave up. The late
+    // grant must still commit its chunk (or return its W to the
+    // arbiter), or the committer and everyone its W blocks wedge. The
+    // zero-rate loss point only arms the resend machinery.
+    MachineConfig cfg;
+    cfg.model = Model::BSCdypvt;
+    cfg.numProcs = 4;
+    cfg.faults = "arb.grant_loss=0,net.delay/Other=1:700:700";
+    cfg.resend.maxResend = 1;
+    cfg.resend.timeout = 64;
+    cfg.watchdog.enabled = true;
+    System sys(cfg, generateTraces(profileByName("ocean"), cfg.numProcs,
+                                   5'000, /*salt=*/0));
+    sys.enableAnalysis(true, false);
+    Results r = sys.run(50'000'000);
+    ASSERT_TRUE(r.completed) << r.watchdogReport;
+    EXPECT_EQ(r.stats.get("analysis.sc_cycles"), 0.0);
+    EXPECT_GT(r.stats.get("bulk.resend_give_ups"), 0.0);
+    EXPECT_GT(r.stats.get("bulk.commits"), 0.0);
+}
+
 /** Read a whole temporary file back as a string. */
 std::string
 slurp(std::FILE *f)

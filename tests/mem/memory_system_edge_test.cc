@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "mem/memory_system.hh"
+#include "sim/event_trace.hh"
+#include "sim/fault_plane.hh"
 
 namespace bulksc {
 namespace {
@@ -29,8 +31,10 @@ struct Recorder : public CacheListener
     std::vector<LineAddr> ownerFetches;
     std::vector<LineAddr> wsigLines;
     unsigned wsigs = 0;
+    unsigned commitsDone = 0;
     std::vector<LineAddr> vetoed;
 
+    void onCommitDone(std::uint64_t, unsigned) override { ++commitsDone; }
     void
     onExternalOwnerFetch(LineAddr l) override
     {
@@ -172,15 +176,94 @@ TEST(MemorySystemEdge, BouncedReadEventuallyCompletes)
     h.mem.markDirty(0, lineOf(0x6000));
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0x6000));
-    bool commit_done = false, read_done = false;
-    h.mem.bulkCommit(0, w, {lineOf(0x6000)},
-                     [&] { commit_done = true; });
+    Recorder rec;
+    h.mem.setListener(0, &rec);
+    bool read_done = false;
+    h.mem.bulkCommit(0, 1, w, {lineOf(0x6000)});
     h.eq.schedule(h.eq.now() + 9, [&] {
         h.mem.access(2, 0x6000, MemCmd::Read, [&] { read_done = true; });
     });
     h.eq.run();
-    EXPECT_TRUE(commit_done);
+    EXPECT_EQ(rec.commitsDone, 1u);
     EXPECT_TRUE(read_done);
+}
+
+/**
+ * A hardened memory system whose commit W messages (WrSig) all arrive
+ * 600 ticks late: the committer's timer resends W before the first
+ * copy lands. No other processor caches the line, so a commit
+ * completes right after its expansion.
+ */
+struct LateCommitW
+{
+    explicit LateCommitW(unsigned max_resend)
+    {
+        std::vector<FaultPoint> pts;
+        std::string err;
+        EXPECT_TRUE(FaultPlane::parseSpec("net.delay/WrSig=1:600:600",
+                                          pts, err))
+            << err;
+        faults.configure(std::move(pts), 1);
+        h.net.setFaultPlane(&faults);
+        h.mem.setFaultPlane(&faults);
+        h.mem.harden(ResendConfig{max_resend, 64, 1024});
+        h.eq.setTrace(&trace);
+        h.mem.setListener(0, &rec);
+        h.mem.warmL1(0, lineOf(0x7000), /*dirty=*/false);
+        h.mem.markDirty(0, lineOf(0x7000));
+        w->insert(lineOf(0x7000));
+    }
+
+    double
+    stat(const std::string &key) const
+    {
+        StatGroup sg;
+        h.mem.dumpStats(sg);
+        return sg.get(key);
+    }
+
+    Harness h;
+    FaultPlane faults;
+    EventTrace trace{~std::uint32_t{0}};
+    Recorder rec;
+    std::shared_ptr<Signature> w = std::make_shared<Signature>();
+};
+
+TEST(MemorySystemEdge, CommitWDeliveredAfterResendGiveUpCompletes)
+{
+    // Copies leave at ~0 and ~64; the directory gives up before the
+    // first lands at ~600. The straggler still completes the commit.
+    LateCommitW t(/*max_resend=*/1);
+    t.h.mem.bulkCommit(0, 1, t.w, {lineOf(0x7000)});
+    t.h.eq.run();
+    EXPECT_EQ(t.stat("mem.commit_abandoned"), 1.0);
+    EXPECT_EQ(t.rec.commitsDone, 1u);
+    EXPECT_EQ(t.trace.count(TraceEventType::DirExpand), 1u);
+}
+
+TEST(MemorySystemEdge, DuplicateWAfterCommitCompletedIsIgnored)
+{
+    // Copies leave at ~0, ~64 and ~192; the first completes the
+    // commit at ~600 and the later two arrive after it: neither may
+    // expand W again nor leave it registered to bounce reads.
+    LateCommitW t(/*max_resend=*/2);
+    t.h.mem.bulkCommit(0, 1, t.w, {lineOf(0x7000)});
+    t.h.eq.run();
+    EXPECT_EQ(t.stat("mem.commit_resends"), 2.0);
+    EXPECT_EQ(t.rec.commitsDone, 1u);
+    EXPECT_EQ(t.trace.count(TraceEventType::DirExpand), 1u);
+    Tick expanded = 0;
+    for (const TraceEvent &e : t.trace.snapshot()) {
+        if (e.type == TraceEventType::DirExpand)
+            expanded = e.tick;
+    }
+    EXPECT_GT(t.h.eq.now(), expanded + 100); // the late copies landed
+
+    bool read_done = false;
+    t.h.mem.access(1, 0x7000, MemCmd::Read, [&] { read_done = true; });
+    t.h.eq.run();
+    EXPECT_TRUE(read_done);
+    EXPECT_EQ(t.h.mem.bouncedReads(), 0u);
 }
 
 TEST(MemorySystemEdge, InvalidNumProcsIsFatal)

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include "mem/memory_system.hh"
 
 namespace bulksc {
@@ -30,6 +34,7 @@ struct Recorder : public CacheListener
     std::vector<LineAddr> displaced;
     unsigned wsigs = 0;
     std::vector<LineAddr> vetoed;
+    std::vector<std::pair<std::uint64_t, unsigned>> commitsDone;
 
     void onExternalInval(LineAddr l) override { invals.push_back(l); }
     void
@@ -38,6 +43,11 @@ struct Recorder : public CacheListener
         displaced.push_back(l);
     }
     void onRemoteWSig(const Signature &) override { ++wsigs; }
+    void
+    onCommitDone(std::uint64_t commit, unsigned inval_nodes) override
+    {
+        commitsDone.emplace_back(commit, inval_nodes);
+    }
     bool
     mayVictimize(LineAddr l) override
     {
@@ -187,7 +197,8 @@ TEST(MemorySystem, ValueTracking)
 TEST(MemorySystem, BulkCommitForwardsWToSharers)
 {
     Harness h;
-    Recorder rec1;
+    Recorder rec0, rec1;
+    h.mem.setListener(0, &rec0);
     h.mem.setListener(1, &rec1);
 
     // Proc 1 shares the line; proc 0 wrote it speculatively.
@@ -198,13 +209,12 @@ TEST(MemorySystem, BulkCommitForwardsWToSharers)
 
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0x9000));
-    bool done = false;
-    unsigned nodes = 0;
-    h.mem.bulkCommit(0, w, {lineOf(0x9000)}, [&] { done = true; }, &nodes);
+    h.mem.bulkCommit(0, /*tag=*/7, w, {lineOf(0x9000)});
     h.eq.run();
 
-    EXPECT_TRUE(done);
-    EXPECT_EQ(nodes, 1u);
+    ASSERT_EQ(rec0.commitsDone.size(), 1u);
+    EXPECT_EQ(rec0.commitsDone[0].first, 7u);
+    EXPECT_EQ(rec0.commitsDone[0].second, 1u); // nodes sent W
     EXPECT_EQ(rec1.wsigs, 1u);
     EXPECT_FALSE(h.mem.l1Contains(1, lineOf(0x9000)));
     // Committer now owns the line per the directory.
@@ -214,10 +224,10 @@ TEST(MemorySystem, BulkCommitForwardsWToSharers)
 TEST(MemorySystem, EmptyWCommitCompletesImmediately)
 {
     Harness h;
-    bool done = false;
-    h.mem.bulkCommit(0, std::make_shared<Signature>(), {},
-                     [&] { done = true; });
-    EXPECT_TRUE(done);
+    Recorder rec;
+    h.mem.setListener(0, &rec);
+    h.mem.bulkCommit(0, 1, std::make_shared<Signature>(), {});
+    EXPECT_EQ(rec.commitsDone.size(), 1u);
 }
 
 TEST(MemorySystem, ReadsBouncedDuringCommit)
@@ -232,7 +242,7 @@ TEST(MemorySystem, ReadsBouncedDuringCommit)
 
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0xA000));
-    h.mem.bulkCommit(0, w, {lineOf(0xA000)}, [] {});
+    h.mem.bulkCommit(0, 1, w, {lineOf(0xA000)});
     // Issue a read timed to land at the directory while the commit's
     // W is registered there: it must be bounced at least once.
     h.eq.schedule(h.eq.now() + 10, [&] {
@@ -257,6 +267,67 @@ TEST(MemorySystem, DiscardSpeculativeDropsOnlyMembers)
     h.mem.l1DiscardSpeculative(0, w, {lineOf(0xB000)});
     EXPECT_FALSE(h.mem.l1Contains(0, lineOf(0xB000)));
     EXPECT_TRUE(h.mem.l1Contains(0, lineOf(0xB040)));
+}
+
+/** BSCdypvt memory with 512-bit, 4-bank signatures: 128 bits per
+ *  bank, half the default L1's 256 sets. */
+MemParams
+narrowBankParams()
+{
+    MemParams p;
+    p.bulkMode = true;
+    p.sigCfg.totalBits = 512;
+    p.sigCfg.numBanks = 4;
+    return p;
+}
+
+/** Lines whose L1 set (line % 256) lies above the 128-bit bank-0
+ *  index range; 386 shares set 130 with line 130. */
+const std::vector<LineAddr> kHighSetLines = {130, 200, 255, 386};
+
+TEST(MemorySystem, NarrowBankBulkInvalidationProbesEverySet)
+{
+    Harness h(narrowBankParams());
+    Recorder rec0;
+    h.mem.setListener(0, &rec0);
+    auto w = std::make_shared<Signature>(h.mem.params().sigCfg);
+    std::unordered_set<LineAddr> w_lines;
+    for (LineAddr l : kHighSetLines) {
+        h.mem.access(1, l * kDefaultLineBytes, MemCmd::Read, nullptr);
+        h.mem.access(0, l * kDefaultLineBytes, MemCmd::Read, nullptr);
+        w->insert(l);
+        w_lines.insert(l);
+    }
+    h.eq.run();
+    for (LineAddr l : kHighSetLines) {
+        ASSERT_TRUE(h.mem.l1Contains(1, l));
+        h.mem.markDirty(0, l);
+    }
+
+    h.mem.bulkCommit(0, 1, w, w_lines);
+    h.eq.run();
+    ASSERT_EQ(rec0.commitsDone.size(), 1u);
+    for (LineAddr l : w->exactLines())
+        EXPECT_FALSE(h.mem.l1Contains(1, l)) << "line " << l;
+}
+
+TEST(MemorySystem, NarrowBankSquashDiscardProbesEverySet)
+{
+    Harness h(narrowBankParams());
+    Signature w(h.mem.params().sigCfg);
+    std::unordered_set<LineAddr> spec_lines;
+    for (LineAddr l : kHighSetLines) {
+        h.mem.access(0, l * kDefaultLineBytes, MemCmd::Read, nullptr);
+        w.insert(l);
+        spec_lines.insert(l);
+    }
+    h.eq.run();
+    for (LineAddr l : kHighSetLines)
+        h.mem.markDirty(0, l);
+
+    h.mem.l1DiscardSpeculative(0, w, spec_lines);
+    for (LineAddr l : w.exactLines())
+        EXPECT_FALSE(h.mem.l1Contains(0, l)) << "line " << l;
 }
 
 TEST(MemorySystem, RestoreLineReinsertsDirty)
@@ -316,7 +387,7 @@ TEST(MemorySystem, RacingFillDoesNotResurrectInvalidatedLine)
 
     // Issue the read and the commit into the same race window.
     h.mem.access(1, 0xF100, MemCmd::Read, nullptr);
-    h.mem.bulkCommit(0, w, {lineOf(0xF100)}, [] {});
+    h.mem.bulkCommit(0, 1, w, {lineOf(0xF100)});
     h.eq.run();
 
     // Invariant: any cached copy must be visible to the directory.
