@@ -218,15 +218,7 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
         // No epoch guard: the chunk lookup by seq is the staleness
         // check (a squashed chunk is simply gone).
         mem.access(pid, addr, MemCmd::Read,
-                   [this, line, seq = c.seq] {
-                       Chunk *ch = findChunk(seq);
-                       if (ch) {
-                           mem.markDirty(pid, line);
-                           ch->outstandingStoreLines.erase(line);
-                           maybeArbitrate();
-                       }
-                       advance();
-                   });
+                   accessTag(AccessKind::StoreFetch, 0, c.seq));
     }
 }
 
@@ -277,23 +269,47 @@ BulkProcessor::issueLoad(Chunk &c, const Op &op)
     // No epoch guard: after a squash the window scan and chunk lookup
     // find nothing for dropped work, while completions for surviving
     // older chunks' loads must still land.
-    auto lat = mem.access(pid, op.addr, MemCmd::Read,
-                          [this, idx = pos, seq = c.seq] {
-                              for (auto &w : window) {
-                                  if (w.opIdx == idx)
-                                      w.completed = true;
-                              }
-                              Chunk *ch = findChunk(seq);
-                              if (ch && ch->inflightLoads) {
-                                  --ch->inflightLoads;
-                                  maybeArbitrate();
-                              }
-                              advance();
-                          });
-    if (lat)
+    if (mem.access(pid, op.addr, MemCmd::Read,
+                   accessTag(AccessKind::Load, pos, c.seq)))
         window.back().completed = true;
     else
         ++c.inflightLoads;
+}
+
+void
+BulkProcessor::onAccessDone(LineAddr line, AccessTag tag)
+{
+    switch (static_cast<AccessKind>(tag.kind)) {
+      case AccessKind::Load: {
+        // Only the entry of op tag.op in chunk tag.id: a re-issue of
+        // the op in a younger chunk has its own completion.
+        for (auto &w : window) {
+            if (w.opIdx == tag.op && w.chunkSeq == tag.id)
+                w.completed = true;
+        }
+        Chunk *ch = findChunk(tag.id);
+        if (ch && ch->inflightLoads) {
+            --ch->inflightLoads;
+            maybeArbitrate();
+        }
+        advance();
+        return;
+      }
+      case AccessKind::StoreFetch:
+        if (Chunk *ch = findChunk(tag.id)) {
+            mem.markDirty(pid, line);
+            ch->outstandingStoreLines.erase(line);
+            maybeArbitrate();
+        }
+        advance();
+        return;
+      case AccessKind::SyncLoad:
+        if (epoch == tag.id)
+            syncStage(true);
+        return;
+      default:
+        ProcessorBase::onAccessDone(line, tag);
+    }
 }
 
 void
@@ -309,8 +325,9 @@ BulkProcessor::finishOp()
     const Op &op = trace.ops[pos];
     ++pos;
     gapCharged = false;
-    // An io op completes only after every chunk drained (execIo), so
-    // there may be no live chunk to charge; the next one starts fresh.
+    // An io op completes only after every chunk drained (the Drain
+    // sync stage), so there may be no live chunk to charge; the next
+    // one starts fresh.
     if (chunks.empty())
         return;
     Chunk &cur = *chunks.back();
@@ -897,44 +914,11 @@ BulkProcessor::syncDone()
 }
 
 void
-BulkProcessor::syncLoad(Addr addr)
-{
-    syncAddr = addr;
-    syncRmwKind.reset();
-    syncStage(SyncStage::Load);
-}
-
-void
-BulkProcessor::syncRmw(Addr addr, RmwKind kind)
-{
-    // Load + conditional speculative store; the chunk's atomicity
-    // makes the pair atomic (Section 3.3: synchronization operations
-    // execute inside chunks with no fences).
-    syncAddr = addr;
-    syncRmwKind = kind;
-    syncStage(SyncStage::Load);
-}
-
-void
-BulkProcessor::syncStore(Addr addr, std::uint64_t value)
-{
-    syncAddr = addr;
-    syncValue = value;
-    syncStage(SyncStage::Store);
-}
-
-void
-BulkProcessor::execIo()
-{
-    syncStage(SyncStage::Drain);
-}
-
-void
-BulkProcessor::syncStage(SyncStage s)
+BulkProcessor::syncStage(bool bind)
 {
     const std::uint32_t e = epoch;
     Chunk *c = nullptr;
-    if (s != SyncStage::Drain) {
+    if (sync.prim != SyncPrim::Io) {
         c = currentChunk();
     } else if (chunks.empty() && committing.empty()) {
         eventq.scheduleAfter(prm.ioLatency,
@@ -949,37 +933,35 @@ BulkProcessor::syncStage(SyncStage s)
         maybeArbitrate();
     }
     if (!c) {
-        eventq.scheduleAfter(10, [this, s, e] {
+        eventq.scheduleAfter(10, [this, bind, e] {
             if (epoch == e)
-                syncStage(s);
+                syncStage(bind);
         });
         return;
     }
 
-    if (s == SyncStage::Store) {
-        storeToChunk(*c, syncAddr, false, true, syncValue);
+    if (sync.prim == SyncPrim::Store) {
+        storeToChunk(*c, sync.addr, false, true, sync.value);
         // Stores retire immediately (stall-free writes, Section 6).
         eventq.scheduleAfter(1, [this, e] { syncStep(e, 0); });
         return;
     }
-    loadToChunk(*c, lineOf(syncAddr, prm.lineBytes), false);
-    if (s == SyncStage::Load) {
-        accessThen(syncAddr, MemCmd::Read, [this, e] {
-            if (epoch == e)
-                syncStage(SyncStage::Bind);
-        });
+    loadToChunk(*c, lineOf(sync.addr, prm.lineBytes), false);
+    if (!bind) {
+        accessTagged(sync.addr, MemCmd::Read,
+                     accessTag(AccessKind::SyncLoad, 0, e));
         return;
     }
     // The value binds now, possibly in a later chunk than the one the
     // access started in (the first chunk may have committed while a
     // spin was in progress), so the read is attributed — R signature
     // and access log — to the chunk that is current when it completes.
-    std::uint64_t v = specRead(syncAddr);
-    logLoad(*c, syncAddr, v, true);
-    if (syncRmwKind) {
-        std::uint64_t next = rmwResult(*syncRmwKind, v);
+    std::uint64_t v = specRead(sync.addr);
+    logLoad(*c, sync.addr, v, true);
+    if (isRmw(sync.prim)) {
+        std::uint64_t next = rmwResult(sync.prim, v);
         if (next != v)
-            storeToChunk(*c, syncAddr, false, true, next);
+            storeToChunk(*c, sync.addr, false, true, next);
     }
     syncStep(e, v);
 }

@@ -142,6 +142,7 @@ class BulkProcessor : public ProcessorBase, public ArbiterClient
                   const BulkParams &bulk_params, ArbiterCore &arb);
 
     // CacheListener
+    void onAccessDone(LineAddr line, AccessTag tag) override;
     void onRemoteWSig(const Signature &w) override;
     void onLineDisplaced(LineAddr line, bool dirty) override;
     bool mayVictimize(LineAddr line) override;
@@ -204,10 +205,7 @@ class BulkProcessor : public ProcessorBase, public ArbiterClient
     void advance() override;
 
     void syncDone() override;
-    void syncLoad(Addr addr) override;
-    void syncStore(Addr addr, std::uint64_t value) override;
-    void syncRmw(Addr addr, RmwKind kind) override;
-    void execIo() override;
+    void syncPerform() override { syncStage(false); }
     void chargeInstrs(unsigned n) override;
 
   private:
@@ -308,18 +306,16 @@ class BulkProcessor : public ProcessorBase, public ArbiterClient
      *  `committing`, so its completion changes nothing. */
     static constexpr std::uint64_t kUntrackedCommit = ~std::uint64_t{0};
 
-    /** Stages of the sync primitive in flight. */
-    enum class SyncStage : std::uint8_t
-    {
-        Load,  //!< add the line to R and send the read
-        Bind,  //!< the read returned: bind its value (and RMW store)
-        Store, //!< speculative store; retires the next cycle
-        Drain, //!< I/O: wait until every chunk has committed
-    };
-
-    /** Run stage @p s of the sync primitive in flight; retried every
-     *  10 cycles while no chunk is free (or, to drain, one is live). */
-    void syncStage(SyncStage s);
+    /**
+     * Run the sync primitive in flight inside the chunk. A store joins
+     * it and retires the next cycle; an I/O op waits until every chunk
+     * has committed; a load or RMW adds its line to R and sends the
+     * read, and once it returns (@p bind) binds the value and an RMW's
+     * store, whose atomicity the chunk provides (Section 3.3: sync ops
+     * execute inside chunks with no fences). Retried every 10 cycles
+     * while no chunk is free (or, to drain, one is live).
+     */
+    void syncStage(bool bind);
 
     BulkParams bprm;
     ArbiterCore &arb;
@@ -349,11 +345,6 @@ class BulkProcessor : public ProcessorBase, public ArbiterClient
     Tick fetchAvail = 0;
     bool gapCharged = false;
     bool syncBusy = false;
-
-    /** Operands of the sync primitive in flight. */
-    Addr syncAddr = 0;
-    std::uint64_t syncValue = 0;          //!< a store's value
-    std::optional<RmwKind> syncRmwKind;   //!< set for an RMW's load
 
     PrivateBuffer privBuf;
 

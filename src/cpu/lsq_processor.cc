@@ -14,8 +14,61 @@ LsqProcessor::LsqProcessor(EventQueue &eq, const std::string &name,
 {
     panic_if(row.loadPassesLoad && !row.loadPassesStore,
              "an out-of-order window retires stores into a buffer");
-    // Completion callbacks carry a 32-bit op index next to the epoch.
-    panic_if(trace.ops.size() > UINT32_MAX, "trace too long");
+}
+
+void
+LsqProcessor::onAccessDone(LineAddr line, AccessTag tag)
+{
+    const std::uint32_t idx = tag.op;
+    const auto e = static_cast<std::uint32_t>(tag.id);
+    switch (static_cast<AccessKind>(tag.kind)) {
+      case AccessKind::Load: {
+        if (!completeEntry(idx, e))
+            return;
+        const Op &o = trace.ops[idx];
+        if (o.aux != kNoSlot)
+            recordLoad(o, forwardedValue(o.addr));
+        advance();
+        return;
+      }
+      case AccessKind::StoreOwn: {
+        const Op &st = trace.ops[idx];
+        if (st.tracked) {
+            mem.writeValue(st.addr, st.storeValue);
+            // Ownership of one address arrives in program order.
+            auto it = std::find_if(
+                storeBuffer.begin(), storeBuffer.end(),
+                [&](std::size_t i) {
+                    return trace.ops[i].addr == st.addr;
+                });
+            if (it != storeBuffer.end())
+                storeBuffer.erase(it);
+        }
+        if (row.squashOnViolation && completeEntry(idx, e))
+            advance();
+        return;
+      }
+      case AccessKind::Drain: {
+        const Op &st = trace.ops[idx];
+        if (st.tracked)
+            mem.writeValue(st.addr, st.storeValue);
+        ++nDrained;
+        storeBuffer.pop_front();
+        drainInFlight = false;
+        drainStores();
+        advance(); // the front end may have stalled on a full buffer
+        return;
+      }
+      case AccessKind::Chain:
+        // Demand miss filled: perform now.
+        busy = false;
+        performTick = curTick() + 1;
+        performChained(trace.ops[pos]);
+        advance();
+        return;
+      default:
+        ProcessorBase::onAccessDone(line, tag);
+    }
 }
 
 void
@@ -27,9 +80,9 @@ LsqProcessor::issuePrefetches()
            trace.instrsBetween(pos, prefetchPos) < prm.robInstrs) {
         const Op &op = trace.ops[prefetchPos];
         if (op.type == OpType::Load)
-            mem.access(pid, op.addr, MemCmd::Prefetch, nullptr);
+            mem.access(pid, op.addr, MemCmd::Prefetch, AccessTag{});
         else if (op.type == OpType::Store)
-            mem.access(pid, op.addr, MemCmd::PrefetchEx, nullptr);
+            mem.access(pid, op.addr, MemCmd::PrefetchEx, AccessTag{});
         ++prefetchPos;
     }
 }
@@ -113,23 +166,7 @@ LsqProcessor::bufferStore(std::size_t idx)
     // forward, so only such a store stays buffered while it waits.
     const Op &op = trace.ops[idx];
     auto lat = mem.access(pid, op.addr, MemCmd::ReadEx,
-                          [this, idx = static_cast<std::uint32_t>(idx),
-                           e = epoch] {
-        const Op &st = trace.ops[idx];
-        if (st.tracked) {
-            mem.writeValue(st.addr, st.storeValue);
-            // Ownership of one address arrives in program order.
-            auto it = std::find_if(
-                storeBuffer.begin(), storeBuffer.end(),
-                [&](std::size_t i) {
-                    return trace.ops[i].addr == st.addr;
-                });
-            if (it != storeBuffer.end())
-                storeBuffer.erase(it);
-        }
-        if (row.squashOnViolation && completeEntry(idx, e))
-            advance();
-    });
+                          accessTag(AccessKind::StoreOwn, idx, epoch));
     if (op.tracked && lat)
         mem.writeValue(op.addr, op.storeValue);
     else if (op.tracked)
@@ -144,16 +181,8 @@ LsqProcessor::drainStores()
         return;
     drainInFlight = true;
     const std::size_t idx = storeBuffer.front();
-    accessThen(trace.ops[idx].addr, MemCmd::ReadEx, [this, idx] {
-        const Op &st = trace.ops[idx];
-        if (st.tracked)
-            mem.writeValue(st.addr, st.storeValue);
-        ++nDrained;
-        storeBuffer.pop_front();
-        drainInFlight = false;
-        drainStores();
-        advance(); // the front end may have stalled on a full buffer
-    });
+    accessTagged(trace.ops[idx].addr, MemCmd::ReadEx,
+                 accessTag(AccessKind::Drain, idx));
 }
 
 bool
@@ -179,15 +208,7 @@ LsqProcessor::issueToWindow(const Op &op)
     if (op.type == OpType::Load) {
         window.push_back({idx, line, false, epoch});
         auto lat = mem.access(pid, op.addr, MemCmd::Read,
-                              [this, idx = static_cast<std::uint32_t>(idx),
-                               e = epoch] {
-                                  if (!completeEntry(idx, e))
-                                      return;
-                                  const Op &o = trace.ops[idx];
-                                  if (o.aux != kNoSlot)
-                                      recordLoad(o, forwardedValue(o.addr));
-                                  advance();
-                              });
+                              accessTag(AccessKind::Load, idx, epoch));
         if (lat) {
             // L1 hit: completes within the window shadow.
             window.back().completed = true;
@@ -282,13 +303,8 @@ LsqProcessor::advance()
         }
         MemCmd cmd =
             op.type == OpType::Load ? MemCmd::Read : MemCmd::ReadEx;
-        auto lat = mem.access(pid, op.addr, cmd, [this] {
-            // Demand miss filled: perform now.
-            busy = false;
-            performTick = curTick() + 1;
-            performChained(trace.ops[pos]);
-            advance();
-        });
+        auto lat =
+            mem.access(pid, op.addr, cmd, accessTag(AccessKind::Chain));
         if (!lat) {
             busy = true;
             return;

@@ -79,6 +79,7 @@ class LsqProcessor : public ProcessorBase
     /** Stores drained from a FIFO store buffer. */
     std::uint64_t drainedStores() const { return nDrained; }
 
+    void onAccessDone(LineAddr line, AccessTag tag) override;
     void onExternalInval(LineAddr line) override;
     void onLineDisplaced(LineAddr line, bool dirty) override;
 

@@ -14,6 +14,8 @@ ProcessorBase::ProcessorBase(EventQueue &eq, const std::string &name,
 {
     panic_if(trace.cum.size() != trace.ops.size() + 1,
              "trace not finalized");
+    // Access tags carry a 32-bit op index.
+    panic_if(trace.ops.size() > UINT32_MAX, "trace too long");
     results.assign(trace.numSlots, 0);
     mem.setListener(pid, this);
 }
@@ -70,39 +72,48 @@ ProcessorBase::chargeInstrs(unsigned n)
 }
 
 void
-ProcessorBase::execIo()
+ProcessorBase::accessTagged(Addr addr, MemCmd cmd, AccessTag tag)
 {
-    eventq.scheduleAfter(prm.ioLatency,
-                         [this, e = epoch] { syncStep(e, 0); });
+    if (auto lat = mem.access(pid, addr, cmd, tag)) {
+        eventq.scheduleAfter(*lat,
+                             [this, line = lineOf(addr, prm.lineBytes),
+                              tag] { onAccessDone(line, tag); });
+    }
 }
 
 void
-ProcessorBase::syncLoad(Addr addr)
+ProcessorBase::onAccessDone(LineAddr, AccessTag tag)
 {
-    accessThen(addr, MemCmd::Read, [this, addr, e = epoch] {
-        syncStep(e, mem.readValue(addr));
-    });
-}
-
-void
-ProcessorBase::syncStore(Addr addr, std::uint64_t value)
-{
-    accessThen(addr, MemCmd::ReadEx, [this, addr, value, e = epoch] {
-        mem.writeValue(addr, value);
+    // The default syncPerform()'s access: perform the primitive now.
+    const auto e = static_cast<std::uint32_t>(tag.id);
+    if (static_cast<AccessKind>(tag.kind) != AccessKind::Sync || epoch != e)
+        return;
+    if (sync.prim == SyncPrim::Store) {
+        mem.writeValue(sync.addr, sync.value);
         syncStep(e, 0);
-    });
+        return;
+    }
+    std::uint64_t old = mem.readValue(sync.addr);
+    if (isRmw(sync.prim)) {
+        std::uint64_t next = rmwResult(sync.prim, old);
+        if (next != old)
+            mem.writeValue(sync.addr, next);
+    }
+    syncStep(e, old);
 }
 
 void
-ProcessorBase::syncRmw(Addr addr, RmwKind kind)
+ProcessorBase::syncPerform()
 {
-    accessThen(addr, MemCmd::ReadEx, [this, addr, kind, e = epoch] {
-        std::uint64_t old = mem.readValue(addr);
-        std::uint64_t next = rmwResult(kind, old);
-        if (next != old)
-            mem.writeValue(addr, next);
-        syncStep(e, old);
-    });
+    if (sync.prim == SyncPrim::Io) {
+        eventq.scheduleAfter(prm.ioLatency,
+                             [this, e = epoch] { syncStep(e, 0); });
+        return;
+    }
+    accessTagged(sync.addr,
+                 sync.prim == SyncPrim::Load ? MemCmd::Read
+                                             : MemCmd::ReadEx,
+                 accessTag(AccessKind::Sync, 0, epoch));
 }
 
 void
@@ -113,6 +124,15 @@ ProcessorBase::execSync(std::size_t idx)
 }
 
 void
+ProcessorBase::syncPrimitive(SyncPrim prim, Addr addr, std::uint64_t value)
+{
+    sync.prim = prim;
+    sync.addr = addr;
+    sync.value = value;
+    syncPerform();
+}
+
+void
 ProcessorBase::syncIssue()
 {
     // Centralized barrier: count word at op.addr, generation word one
@@ -120,25 +140,26 @@ ProcessorBase::syncIssue()
     const Op &op = trace.ops[sync.opIdx];
     switch (op.type) {
       case OpType::Acquire:
-        // Test-and-set; atomicity comes from the model's syncRmw.
-        syncRmw(op.addr, RmwKind::TestAndSet);
+        // Test-and-set; atomicity comes from the model's syncPerform.
+        syncPrimitive(SyncPrim::TestAndSet, op.addr);
         return;
       case OpType::Release:
-        syncStore(op.addr, 0);
+        syncPrimitive(SyncPrim::Store, op.addr, 0);
         return;
       case OpType::BarrierArrive:
         if (sync.phase == 0)
-            syncRmw(op.addr, RmwKind::Increment);
+            syncPrimitive(SyncPrim::Increment, op.addr);
         else if (sync.phase == 1)
-            syncStore(op.addr, 0);
+            syncPrimitive(SyncPrim::Store, op.addr, 0);
         else
-            syncStore(op.addr + prm.lineBytes, op.aux + 1);
+            syncPrimitive(SyncPrim::Store, op.addr + prm.lineBytes,
+                          op.aux + 1);
         return;
       case OpType::BarrierWait:
-        syncLoad(op.addr + prm.lineBytes);
+        syncPrimitive(SyncPrim::Load, op.addr + prm.lineBytes);
         return;
       case OpType::Io:
-        execIo();
+        syncPrimitive(SyncPrim::Io, 0);
         return;
       case OpType::TxBegin:
       case OpType::TxEnd:

@@ -5,13 +5,14 @@
  * synchronization engine.
  *
  * The engine is data: a processor holds at most one in-flight sync
- * record (op index, phase, backoff attempts, start epoch). Each lock,
- * barrier or I/O op is a short sequence of model primitives (syncLoad,
- * syncStore, syncRmw with a test-and-set or increment, execIo) that
- * take plain operands. Every primitive reports its result to
- * syncStep(), which picks the next primitive, a spin retry or
- * completion; syncDone() tells the subclass. The events the engine
- * schedules capture only `this`, an epoch and scalars, so a squash
+ * record (op index, phase, backoff attempts, start epoch, and the
+ * current primitive with its operands). Each lock, barrier or I/O op is
+ * a short sequence of model primitives (load, store, test-and-set,
+ * increment, I/O) that syncPerform() carries out. Every primitive
+ * reports its result to syncStep(), which picks the next primitive, a
+ * spin retry or completion; syncDone() tells the subclass. The events
+ * the engine schedules capture only `this`, an epoch and scalars, and
+ * its memory accesses are AccessTags naming only the epoch, so a squash
  * strands them by bumping the epoch.
  *
  * Timing is modelled at memory-op granularity: non-memory instructions
@@ -39,20 +40,56 @@
 
 namespace bulksc {
 
-/** How a synchronization read-modify-write changes the word. */
-enum class RmwKind : std::uint8_t
+/** The model primitive a synchronization phase performs. */
+enum class SyncPrim : std::uint8_t
 {
-    TestAndSet, //!< 0 becomes 1; any other value stays
-    Increment,  //!< v becomes v + 1
+    Load,       //!< read the word
+    Store,      //!< write SyncRecord::value
+    TestAndSet, //!< RMW: 0 becomes 1; any other value stays
+    Increment,  //!< RMW: v becomes v + 1
+    Io,         //!< an uncached I/O operation
 };
 
-/** The value an RMW of @p kind writes over @p old. */
-inline std::uint64_t
-rmwResult(RmwKind kind, std::uint64_t old)
+/** True for the read-modify-write primitives. */
+inline bool
+isRmw(SyncPrim p)
 {
-    if (kind == RmwKind::Increment)
+    return p == SyncPrim::TestAndSet || p == SyncPrim::Increment;
+}
+
+/** The value an RMW @p prim writes over @p old. */
+inline std::uint64_t
+rmwResult(SyncPrim prim, std::uint64_t old)
+{
+    if (prim == SyncPrim::Increment)
         return old + 1;
     return old == 0 ? 1 : old;
+}
+
+/**
+ * The kinds of AccessTag the processor models issue; each core's
+ * onAccessDone dispatches on them. They start at 1: the memory system
+ * reserves 0 for "nobody waits" (AccessTag{}, a prefetch's tag).
+ */
+enum class AccessKind : std::uint8_t
+{
+    Sync = 1,   //!< ProcessorBase: the sync primitive (id: epoch)
+    Load,       //!< a window load (op; id: epoch, or BulkSC chunk seq)
+    StoreOwn,   //!< LsqProcessor: a buffered store's ownership (op;
+                //!< id: epoch)
+    Drain,      //!< LsqProcessor: the FIFO store buffer's head (op)
+    Chain,      //!< LsqProcessor: the perform chain's demand miss
+    StoreFetch, //!< BulkProcessor: a speculative store's line (id:
+                //!< chunk seq)
+    SyncLoad,   //!< BulkProcessor: the sync stage's load (id: epoch)
+};
+
+/** The tag of an access of kind @p k. */
+inline AccessTag
+accessTag(AccessKind k, std::size_t op = 0, std::uint64_t id = 0)
+{
+    return AccessTag{static_cast<std::uint8_t>(k),
+                     static_cast<std::uint32_t>(op), id};
 }
 
 /** Processor timing parameters (defaults follow the paper's Table 2). */
@@ -129,6 +166,10 @@ class ProcessorBase : public SimObject, public CacheListener
      *  still live); a squashed spin counts as wasted instead. */
     std::uint64_t spinInstrs() const { return nSpin; }
 
+    /** Dispatch a completed access by its kind; the base handles
+     *  AccessKind::Sync, each core its own kinds. */
+    void onAccessDone(LineAddr line, AccessTag tag) override;
+
     /**
      * Digest of the model-visible execution state (trace position,
      * recorded load values, model-specific chunk machinery) for
@@ -167,6 +208,9 @@ class ProcessorBase : public SimObject, public CacheListener
         unsigned phase = 0;      //!< step within the op (barrier arrive)
         unsigned attempts = 0;   //!< failed test-and-sets (lock backoff)
         std::uint32_t epoch = 0; //!< epoch the op started in
+        SyncPrim prim = SyncPrim::Load; //!< the phase's primitive
+        Addr addr = 0;                  //!< its word
+        std::uint64_t value = 0;        //!< a store's value
     };
 
     /** Start the sync or I/O op at trace index @p idx; syncDone()
@@ -183,40 +227,23 @@ class ProcessorBase : public SimObject, public CacheListener
     /** The op in flight completed (in the epoch it started in). */
     virtual void syncDone() = 0;
 
-    /** Timed load of a tracked value. The default (all baselines)
-     *  performs it non-speculatively at the access's completion. */
-    virtual void syncLoad(Addr addr);
-
-    /** Timed store of a tracked value; the default performs it once
-     *  exclusive ownership arrives. */
-    virtual void syncStore(Addr addr, std::uint64_t value);
-
     /**
-     * Atomic read-modify-write reporting the old value. The baselines'
-     * default makes this atomic at the completion event; BulkSC
-     * overrides it with a speculative load + store pair whose
-     * atomicity comes from the chunk.
+     * Carry out the primitive in sync.prim on sync.addr. The baselines'
+     * default performs a load, store or RMW non-speculatively (the RMW
+     * atomic) when the access completes, and an I/O op after
+     * ioLatency. BulkSC overrides it with speculative stages inside
+     * the chunk, an RMW's atomicity coming from the chunk, and drains
+     * chunks before an I/O op (Section 4.1.3).
      */
-    virtual void syncRmw(Addr addr, RmwKind kind);
-
-    /** Perform an uncached I/O operation (overridden by BulkSC to
-     *  drain chunks first, Section 4.1.3). */
-    virtual void execIo();
+    virtual void syncPerform();
 
     /** Charge spin-loop instructions (BulkSC charges them to the
      *  current chunk). */
     virtual void chargeInstrs(unsigned n);
 
-    /** Access @p addr and run @p fin when it completes (after the
-     *  L1 latency on a hit). */
-    template <typename F>
-    void
-    accessThen(Addr addr, MemCmd cmd, F fin)
-    {
-        auto lat = mem.access(pid, addr, cmd, fin);
-        if (lat)
-            eventq.scheduleAfter(*lat, fin);
-    }
+    /** Access @p addr; onAccessDone(@p tag) reports its completion,
+     *  after the L1 latency on a hit. */
+    void accessTagged(Addr addr, MemCmd cmd, AccessTag tag);
 
     /** Record a load's observed value if it has a result slot. */
     void
@@ -235,10 +262,9 @@ class ProcessorBase : public SimObject, public CacheListener
     std::size_t pos = 0;
 
     /**
-     * Squash epoch: callbacks from before a squash are stale. 32 bits
-     * keep a callback that carries it with `this` and another 32-bit
-     * value within std::function's inline buffer; a stale callback
-     * would have to stay in flight for 2^32 squashes to alias.
+     * Squash epoch: events and access tags from before a squash are
+     * stale. A stale one would have to stay in flight for 2^32
+     * squashes to alias.
      */
     std::uint32_t epoch = 0;
 
@@ -255,6 +281,10 @@ class ProcessorBase : public SimObject, public CacheListener
   private:
     /** Issue the primitive of the current op's phase. */
     void syncIssue();
+
+    /** Record primitive @p prim on @p addr (a store writes @p value)
+     *  and perform it. */
+    void syncPrimitive(SyncPrim prim, Addr addr, std::uint64_t value = 0);
 
     /** Charge one spin iteration and issue the phase again after
      *  @p backoff cycles. */

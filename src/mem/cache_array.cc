@@ -258,19 +258,6 @@ CacheArray::invalidate(LineAddr line)
     return prev;
 }
 
-unsigned
-CacheArray::countVetoed(LineAddr line, const VictimFilter &filter) const
-{
-    std::uint32_t set = geom.setIndex(line);
-    const CacheLine *base = &lines[std::size_t{set} * geom.assoc];
-    unsigned vetoed = 0;
-    for (unsigned w = 0; w < geom.assoc; ++w) {
-        if (base[w].valid() && filter && !filter(base[w].line))
-            ++vetoed;
-    }
-    return vetoed;
-}
-
 void
 CacheArray::forEachInSet(
     std::uint32_t set_idx,
@@ -281,13 +268,6 @@ CacheArray::forEachInSet(
         if (base[w].valid())
             fn(base[w]);
     }
-}
-
-void
-CacheArray::forEach(const std::function<void(const CacheLine &)> &fn) const
-{
-    for (std::uint32_t set : occupied)
-        forEachInSet(set, fn);
 }
 
 std::uint64_t

@@ -90,20 +90,10 @@ class CacheArray
     /** Invalidate @p line if present. @return its state beforehand. */
     LineState invalidate(LineAddr line);
 
-    /**
-     * Number of ways of @p line's set currently vetoed by @p filter.
-     * Used by chunk-overflow checks.
-     */
-    unsigned countVetoed(LineAddr line, const VictimFilter &filter) const;
-
     /** Apply @p fn to every valid line of set @p set_idx. */
     void forEachInSet(std::uint32_t set_idx,
                       const std::function<void(const CacheLine &)> &fn)
         const;
-
-    /** Apply @p fn to every valid line in the array, set by set in the
-     *  order the sets were first filled. */
-    void forEach(const std::function<void(const CacheLine &)> &fn) const;
 
     const CacheGeometry &geometry() const { return geom; }
 

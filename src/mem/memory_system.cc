@@ -80,7 +80,7 @@ MemorySystem::filterFor(ProcId p)
 }
 
 std::optional<Tick>
-MemorySystem::access(ProcId p, Addr addr, MemCmd cmd, AccessCallback cb)
+MemorySystem::access(ProcId p, Addr addr, MemCmd cmd, AccessTag tag)
 {
     LineAddr line = lineOf(addr, prm.l1.lineBytes);
     L1 &c = l1s[p];
@@ -89,37 +89,27 @@ MemorySystem::access(ProcId p, Addr addr, MemCmd cmd, AccessCallback cb)
     if (e && (!wantsOwnership(cmd) || e->state == LineState::Dirty))
         return prm.l1Latency;
 
-    // Coalesce into an outstanding MSHR for the same line. The command
-    // can still be strengthened until the directory starts processing.
-    auto coalesce = [&](std::unordered_map<LineAddr, Mshr> &table) {
-        auto it = table.find(line);
-        if (it == table.end())
-            return false;
-        if (cb)
-            it->second.callbacks.push_back(std::move(cb));
-        if (wantsOwnership(cmd) && !it->second.dispatched &&
-            !wantsOwnership(it->second.cmd)) {
-            it->second.cmd = MemCmd::ReadEx;
-        }
-        return true;
-    };
-    if (coalesce(c.mshrs) || coalesce(c.queuedMshrs))
-        return std::nullopt;
-
-    if (c.mshrs.size() >= prm.l1Mshrs) {
-        Mshr &m = c.queuedMshrs[line];
-        m.cmd = cmd;
-        if (cb)
-            m.callbacks.push_back(std::move(cb));
-        c.pendingQueue.emplace_back(line, cmd);
+    // Coalesce into the line's MSHR, sent or waiting. The command can
+    // still be strengthened until the directory starts processing.
+    auto it = c.mshrs.find(line);
+    if (it != c.mshrs.end()) {
+        Mshr &m = it->second;
+        if (wantsOwnership(cmd) && !m.dispatched && !wantsOwnership(m.cmd))
+            m.cmd = MemCmd::ReadEx;
+        if (tag)
+            m.waiters.push_back(tag);
         return std::nullopt;
     }
 
+    const bool full = c.sent() >= prm.l1Mshrs;
     Mshr &m = c.mshrs[line];
     m.cmd = cmd;
-    if (cb)
-        m.callbacks.push_back(std::move(cb));
-    dispatchMiss(p, line);
+    if (tag)
+        m.waiters.push_back(tag);
+    if (full)
+        c.waiting.push_back(line);
+    else
+        dispatchMiss(p, line);
     return std::nullopt;
 }
 
@@ -148,9 +138,6 @@ MemorySystem::sendInval(ProcId target, LineAddr line)
                  auto mit = l1s[target].mshrs.find(line);
                  if (mit != l1s[target].mshrs.end())
                      mit->second.dropFill = true;
-                 auto qit = l1s[target].queuedMshrs.find(line);
-                 if (qit != l1s[target].queuedMshrs.end())
-                     qit->second.dropFill = true;
                  LineState prev = l1s[target].array.invalidate(line);
                  if (prev == LineState::Dirty) {
                      // Dirty data travels with the acknowledgement.
@@ -259,38 +246,26 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
     eventq.scheduleAfter(lat, [this, p, line, d] {
         net.send(prm.numProcs + d, p, TrafficClass::DataRdWr, 256,
                  [this, p, line] {
-                     auto mit = l1s[p].mshrs.find(line);
-                     if (mit == l1s[p].mshrs.end())
-                         return;
-                     finishFill(p, line, mit->second.cmd);
+                     if (l1s[p].mshrs.count(line))
+                         finishFill(p, line);
                  },
                  lineFp(line));
     });
 }
 
 void
-MemorySystem::finishFill(ProcId p, LineAddr line, MemCmd cmd)
+MemorySystem::finishFill(ProcId p, LineAddr line)
 {
     L1 &c = l1s[p];
+    Mshr &m = c.mshrs.at(line);
     LineState st =
-        wantsOwnership(cmd) ? LineState::Dirty : LineState::Shared;
+        wantsOwnership(m.cmd) ? LineState::Dirty : LineState::Shared;
 
     // An invalidation overtook this fill: complete the access without
     // installing the (stale) line.
-    bool drop = false;
-    {
-        auto it = c.mshrs.find(line);
-        if (it != c.mshrs.end())
-            drop = it->second.dropFill;
-    }
-
     std::optional<Victim> vic;
-    CacheLine *ins = nullptr;
-    if (!drop) {
-        ins = c.array.insert(line, st, filterFor(p), vic);
-        if (!ins)
-            ++nFillBypasses;
-    }
+    if (!m.dropFill && !c.array.insert(line, st, filterFor(p), vic))
+        ++nFillBypasses;
 
     if (vic) {
         if (vic->dirty) {
@@ -308,27 +283,22 @@ MemorySystem::finishFill(ProcId p, LineAddr line, MemCmd cmd)
             c.listener->onLineDisplaced(vic->line, vic->dirty);
     }
 
-    auto it = c.mshrs.find(line);
-    std::vector<AccessCallback> cbs;
-    if (it != c.mshrs.end()) {
-        cbs = std::move(it->second.callbacks);
-        c.mshrs.erase(it);
+    // Taken only now: the displacement listener may have coalesced
+    // another waiter.
+    std::vector<AccessTag> waiters = std::move(m.waiters);
+    c.mshrs.erase(line);
+
+    // Send waiting lines into the freed MSHR.
+    while (!c.waiting.empty() && c.sent() < prm.l1Mshrs) {
+        LineAddr next = c.waiting.front();
+        c.waiting.pop_front();
+        dispatchMiss(p, next);
     }
 
-    // Promote queued requests into the freed MSHR.
-    while (!c.pendingQueue.empty() && c.mshrs.size() < prm.l1Mshrs) {
-        auto [qline, qcmd] = c.pendingQueue.front();
-        c.pendingQueue.pop_front();
-        auto qit = c.queuedMshrs.find(qline);
-        if (qit == c.queuedMshrs.end())
-            continue;
-        c.mshrs[qline] = std::move(qit->second);
-        c.queuedMshrs.erase(qit);
-        dispatchMiss(p, qline);
+    if (c.listener) {
+        for (AccessTag tag : waiters)
+            c.listener->onAccessDone(line, tag);
     }
-
-    for (auto &cb : cbs)
-        cb();
 }
 
 void
@@ -414,10 +384,6 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
 
     // Cancel racing in-flight fills for member lines.
     for (auto &[mline, mshr] : c.mshrs) {
-        if (!spec_discard && w.contains(mline))
-            mshr.dropFill = true;
-    }
-    for (auto &[mline, mshr] : c.queuedMshrs) {
         if (!spec_discard && w.contains(mline))
             mshr.dropFill = true;
     }
@@ -774,14 +740,15 @@ MemorySystem::fingerprint() const
     for (std::size_t p = 0; p < l1s.size(); ++p) {
         const L1 &l1 = l1s[p];
         h = mix64(h ^ l1.array.fingerprint());
-        // MSHR and pending-queue membership, order-insensitively.
+        // MSHR membership, order-insensitively; a waiting line also
+        // carries the command it will be sent with.
         std::uint64_t m = 0;
         for (const auto &[line, mshr] : l1.mshrs)
             m += mix64(line ^ (std::uint64_t{mshr.dispatched} << 60));
-        for (const auto &qm : l1.queuedMshrs)
-            m += mix64(mix64(qm.first) ^ 0x71);
-        for (const auto &[line, cmd] : l1.pendingQueue)
-            m += mix64(line ^ (static_cast<std::uint64_t>(cmd) << 56));
+        for (LineAddr line : l1.waiting) {
+            auto cmd = static_cast<std::uint64_t>(l1.mshrs.at(line).cmd);
+            m += mix64(mix64(line) ^ 0x71 ^ (cmd << 56));
+        }
         h = mix64(h ^ m);
     }
     h = mix64(h ^ l2.fingerprint());

@@ -6,10 +6,11 @@
  *
  * Processors issue accesses through access(); BulkSC's commit engine
  * uses bulkCommit() / l1DiscardSpeculative() / restoreLine(). A
- * CacheListener registered per processor receives external
- * invalidations, displacements, and incoming W signatures — this is how
- * consistency machinery observes the memory system without the caches
- * knowing anything about speculation.
+ * CacheListener registered per processor receives completed misses,
+ * external invalidations, displacements, and incoming W signatures —
+ * this is how consistency machinery observes the memory system without
+ * the caches knowing anything about speculation. An in-flight access is
+ * a plain AccessTag in its MSHR, never a callable.
  */
 
 #ifndef BULKSC_MEM_MEMORY_SYSTEM_HH
@@ -49,12 +50,35 @@ wantsOwnership(MemCmd c)
 }
 
 /**
+ * The requester's name for one access, reported back through
+ * CacheListener::onAccessDone when its miss fills. The memory system
+ * interprets nothing but kind 0, "nobody waits" (a prefetch): the
+ * kind, op index and id (an epoch or chunk seq) are the processor's.
+ */
+struct AccessTag
+{
+    std::uint8_t kind = 0;
+    std::uint32_t op = 0;
+    std::uint64_t id = 0;
+
+    explicit operator bool() const { return kind != 0; }
+};
+
+/**
  * Interface through which consistency machinery observes one L1 cache.
  */
 class CacheListener
 {
   public:
     virtual ~CacheListener() = default;
+
+    /**
+     * The miss that access() was issued with @p tag for completed:
+     * @p line filled (or, if an invalidation overtook the fill, the
+     * access performed without installing it). The waiters of one
+     * line are reported in issue order.
+     */
+    virtual void onAccessDone(LineAddr /*line*/, AccessTag /*tag*/) {}
 
     /** The line was invalidated by a remote exclusive request. */
     virtual void onExternalInval(LineAddr) {}
@@ -122,8 +146,6 @@ struct MemParams
 class MemorySystem : public SimObject
 {
   public:
-    using AccessCallback = InlineCallback;
-
     MemorySystem(EventQueue &eq, Network &net, const MemParams &params);
 
     /** Register the consistency listener for processor @p p. */
@@ -146,12 +168,13 @@ class MemorySystem : public SimObject
     /**
      * Issue an access.
      *
-     * @return the access latency if it hits in the L1 (the callback is
-     *         NOT invoked in that case); std::nullopt on a miss, in
-     *         which case @p cb fires when the fill completes.
+     * @return the access latency if it hits in the L1 (@p tag is NOT
+     *         reported in that case); std::nullopt on a miss, in which
+     *         case @p p's listener gets onAccessDone(line, @p tag) when
+     *         the fill completes (unless @p tag is "nobody waits").
      */
     std::optional<Tick> access(ProcId p, Addr addr, MemCmd cmd,
-                               AccessCallback cb);
+                               AccessTag tag);
 
     /** @return true if @p p's L1 holds @p line (optionally owned). */
     bool l1Contains(ProcId p, LineAddr line,
@@ -255,10 +278,12 @@ class MemorySystem : public SimObject
     std::uint64_t fillBypasses() const { return nFillBypasses; }
 
   private:
+    /** One missing line: sent to its directory, or waiting for a
+     *  free MSHR (L1::waiting). */
     struct Mshr
     {
         MemCmd cmd;
-        bool dispatched = false;
+        bool dispatched = false; //!< the directory started on it
 
         /** An invalidation targeted this line while the fill was in
          *  flight: complete the access but do NOT install the line
@@ -267,17 +292,19 @@ class MemorySystem : public SimObject
          *  the directory — and future commits would skip it. */
         bool dropFill = false;
 
-        std::vector<AccessCallback> callbacks;
+        std::vector<AccessTag> waiters; //!< in issue order
     };
 
     struct L1
     {
         explicit L1(const CacheGeometry &g) : array(g) {}
 
+        /** MSHRs sent to the directory: at most MemParams::l1Mshrs. */
+        std::size_t sent() const { return mshrs.size() - waiting.size(); }
+
         CacheArray array;
-        std::unordered_map<LineAddr, Mshr> mshrs;
-        std::deque<std::pair<LineAddr, MemCmd>> pendingQueue;
-        std::unordered_map<LineAddr, Mshr> queuedMshrs;
+        std::unordered_map<LineAddr, Mshr> mshrs; //!< every missing line
+        std::deque<LineAddr> waiting; //!< unsent lines of mshrs, FIFO
         CacheListener *listener = nullptr;
     };
 
@@ -312,7 +339,7 @@ class MemorySystem : public SimObject
     /** @p bounces counts prior bounces of this request (backoff). */
     void dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
                           unsigned bounces = 0);
-    void finishFill(ProcId p, LineAddr line, MemCmd cmd);
+    void finishFill(ProcId p, LineAddr line);
     void sendInval(ProcId target, LineAddr line);
 
     /** Bulk-invalidate @p p's members of @p w. @p spec_lines is

@@ -3,10 +3,10 @@
  * A move-only type-erased callable with small-buffer storage, used as
  * the event representation of the DES kernel.
  *
- * Unlike std::function, captures up to kInlineBytes are stored inline
- * in the event itself, so scheduling an event performs no heap
- * allocation; the bucket vectors of the EventQueue recycle this storage
- * run over run. Larger callables fall back to a single heap cell.
+ * Unlike std::function, the capture is stored inline in the event
+ * itself, so scheduling an event performs no heap allocation; the
+ * bucket vectors of the EventQueue recycle this storage run over run.
+ * kInlineBytes is a hard limit: a larger capture does not compile.
  *
  * Callables that are trivially copyable and trivially destructible
  * (most of the simulator's hot-path lambdas: a this pointer plus a few
@@ -29,17 +29,15 @@ namespace bulksc {
 class InlineCallback
 {
   public:
-    /** Inline capture budget. Processor, sync-engine and memory-request
-     *  events (this, an epoch and a few scalars) take at most 32 bytes.
-     *  Commit-protocol events name their records by id and carry at
-     *  most the immutable W and R (two shared_ptrs); the largest, an
-     *  arbiter's request delivery or decision step, takes 64. */
+    /** Capture limit, enforced at compile time. Processor, sync-engine
+     *  and memory-request events (this, an epoch or access tag and a
+     *  few scalars) take at most 32 bytes. Commit-protocol events name
+     *  their records by id and carry at most the immutable W and R
+     *  (two shared_ptrs); the largest, an arbiter's request delivery or
+     *  decision step, takes 64. */
     static constexpr std::size_t kInlineBytes = 64;
 
     InlineCallback() noexcept = default;
-
-    /** The empty callback (a memory access nobody waits for). */
-    InlineCallback(std::nullptr_t) noexcept {} // NOLINT: implicit
 
     template <typename F,
               typename = std::enable_if_t<!std::is_same_v<
@@ -47,39 +45,23 @@ class InlineCallback
     InlineCallback(F &&f) // NOLINT: implicit from any callable
     {
         using Fn = std::decay_t<F>;
-        constexpr bool fits =
-            sizeof(Fn) <= kInlineBytes &&
-            alignof(Fn) <= alignof(std::max_align_t);
-        if constexpr (fits && std::is_trivially_copyable_v<Fn> &&
-                      std::is_trivially_destructible_v<Fn>) {
-            // Trivial fast path: manage_ stays null.
-            ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
-            invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-        } else if constexpr (fits &&
-                             std::is_nothrow_move_constructible_v<
-                                 Fn>) {
-            ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
-            invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
+        static_assert(sizeof(Fn) <= kInlineBytes &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "capture exceeds InlineCallback::kInlineBytes");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "an event's capture must move without throwing");
+        ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
+        invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
+        if constexpr (!std::is_trivially_copyable_v<Fn> ||
+                      !std::is_trivially_destructible_v<Fn>) {
             manage_ = [](void *dst, void *src) {
                 if (dst) {
                     ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
                 }
                 static_cast<Fn *>(src)->~Fn();
             };
-        } else {
-            // Oversized capture: one heap cell, pointer stored inline.
-            auto **slot = reinterpret_cast<Fn **>(buf);
-            *slot = new Fn(std::forward<F>(f));
-            invoke_ = [](void *p) { (**static_cast<Fn **>(p))(); };
-            manage_ = [](void *dst, void *src) {
-                if (dst) {
-                    *static_cast<Fn **>(dst) =
-                        *static_cast<Fn **>(src);
-                } else {
-                    delete *static_cast<Fn **>(src);
-                }
-            };
         }
+        // Otherwise the trivial fast path: manage_ stays null.
     }
 
     InlineCallback(InlineCallback &&o) noexcept
@@ -122,8 +104,6 @@ class InlineCallback
     }
 
     void operator()() { invoke_(buf); }
-
-    explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
   private:
     void

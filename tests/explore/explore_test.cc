@@ -306,6 +306,24 @@ TEST(Explorer, ExploredTreeIsPinned)
             EXPECT_EQ(r.prunedFingerprint, want.prunedFingerprint);
         }
     }
+
+    // An app-level tree, whose fingerprints also cover in-flight
+    // misses (MSHRs) and sync records: bulksc_explore --app ocean
+    // --procs 4 --instrs 20000 --explore-depth 400.
+    SimOptions opts;
+    opts.app = "ocean";
+    opts.cfg.numProcs = 4;
+    opts.instrs = 20000;
+    opts.explore.maxDecisions = 400;
+    ExploreConfig ec;
+    std::string err;
+    ASSERT_TRUE(configureExploration(opts, ec, err)) << err;
+    ExploreResult r = Explorer(ec).explore();
+    EXPECT_TRUE(r.exhaustive);
+    EXPECT_EQ(r.schedulesRun, 125u);
+    EXPECT_EQ(r.decisionsTotal, 18625u);
+    EXPECT_EQ(r.prunedPor, 6376u);
+    EXPECT_EQ(r.prunedFingerprint, 3931u);
 }
 
 // The end-to-end acceptance path: a fault that breaks the arbiter's

@@ -8,60 +8,27 @@
 
 #include <gtest/gtest.h>
 
-#include "mem/memory_system.hh"
+#include "mem_harness.hh"
 #include "sim/event_trace.hh"
 #include "sim/fault_plane.hh"
 
 namespace bulksc {
 namespace {
 
-struct Harness
-{
-    explicit Harness(MemParams p = MemParams{})
-        : net(eq, NetworkConfig{}), mem(eq, net, p)
-    {}
-
-    EventQueue eq;
-    Network net;
-    MemorySystem mem;
-};
-
-struct Recorder : public CacheListener
-{
-    std::vector<LineAddr> ownerFetches;
-    std::vector<LineAddr> wsigLines;
-    unsigned wsigs = 0;
-    unsigned commitsDone = 0;
-    std::vector<LineAddr> vetoed;
-
-    void onCommitDone(std::uint64_t, unsigned) override { ++commitsDone; }
-    void
-    onExternalOwnerFetch(LineAddr l) override
-    {
-        ownerFetches.push_back(l);
-    }
-    void onRemoteWSig(const Signature &) override { ++wsigs; }
-    bool
-    mayVictimize(LineAddr l) override
-    {
-        for (LineAddr v : vetoed) {
-            if (v == l)
-                return false;
-        }
-        return true;
-    }
-};
+using memtest::Harness;
+using memtest::Recorder;
+using memtest::kNobody;
+using memtest::tagged;
 
 TEST(MemorySystemEdge, OwnerFetchHookFires)
 {
     Harness h;
-    Recorder rec;
-    h.mem.setListener(0, &rec);
+    Recorder &rec = h.recs[0];
 
     // Proc 0 owns the line dirty; proc 1 reads it.
-    h.mem.access(0, 0x1000, MemCmd::ReadEx, nullptr);
+    h.mem.access(0, 0x1000, MemCmd::ReadEx, kNobody);
     h.eq.run();
-    h.mem.access(1, 0x1000, MemCmd::Read, nullptr);
+    h.mem.access(1, 0x1000, MemCmd::Read, kNobody);
     h.eq.run();
     ASSERT_EQ(rec.ownerFetches.size(), 1u);
     EXPECT_EQ(rec.ownerFetches[0], lineOf(0x1000));
@@ -70,11 +37,10 @@ TEST(MemorySystemEdge, OwnerFetchHookFires)
 TEST(MemorySystemEdge, OwnerFetchHookFiresForExclusiveToo)
 {
     Harness h;
-    Recorder rec;
-    h.mem.setListener(0, &rec);
-    h.mem.access(0, 0x2000, MemCmd::ReadEx, nullptr);
+    Recorder &rec = h.recs[0];
+    h.mem.access(0, 0x2000, MemCmd::ReadEx, kNobody);
     h.eq.run();
-    h.mem.access(1, 0x2000, MemCmd::ReadEx, nullptr);
+    h.mem.access(1, 0x2000, MemCmd::ReadEx, kNobody);
     h.eq.run();
     EXPECT_EQ(rec.ownerFetches.size(), 1u);
 }
@@ -86,11 +52,10 @@ TEST(MemorySystemEdge, WarmL1DirtySetsOwnership)
     EXPECT_EQ(h.mem.l1State(0, lineOf(0x3000)), LineState::Dirty);
     // A ReadEx from the warmed owner hits immediately.
     EXPECT_TRUE(
-        h.mem.access(0, 0x3000, MemCmd::ReadEx, nullptr).has_value());
+        h.mem.access(0, 0x3000, MemCmd::ReadEx, kNobody).has_value());
     // Another processor's read triggers the owner-fetch path.
-    Recorder rec;
-    h.mem.setListener(0, &rec);
-    h.mem.access(1, 0x3000, MemCmd::Read, nullptr);
+    Recorder &rec = h.recs[0];
+    h.mem.access(1, 0x3000, MemCmd::Read, kNobody);
     h.eq.run();
     EXPECT_EQ(rec.ownerFetches.size(), 1u);
 }
@@ -101,7 +66,7 @@ TEST(MemorySystemEdge, WarmL1SharedIsNotOwned)
     h.mem.warmL1(0, lineOf(0x4000), /*dirty=*/false);
     EXPECT_EQ(h.mem.l1State(0, lineOf(0x4000)), LineState::Shared);
     EXPECT_FALSE(
-        h.mem.access(0, 0x4000, MemCmd::ReadEx, nullptr).has_value());
+        h.mem.access(0, 0x4000, MemCmd::ReadEx, kNobody).has_value());
 }
 
 TEST(MemorySystemEdge, MshrUpgradeReadToReadEx)
@@ -109,13 +74,12 @@ TEST(MemorySystemEdge, MshrUpgradeReadToReadEx)
     Harness h;
     // A Read miss is outstanding; a ReadEx to the same line coalesces
     // and upgrades the command, so the fill grants ownership.
-    bool read_done = false, write_done = false;
-    h.mem.access(0, 0x5000, MemCmd::Read, [&] { read_done = true; });
-    h.mem.access(0, 0x5000, MemCmd::ReadEx,
-                 [&] { write_done = true; });
+    h.mem.access(0, 0x5000, MemCmd::Read, tagged(1));
+    h.mem.access(0, 0x5000, MemCmd::ReadEx, tagged(2));
     h.eq.run();
-    EXPECT_TRUE(read_done);
-    EXPECT_TRUE(write_done);
+    ASSERT_EQ(h.recs[0].done.size(), 2u);
+    EXPECT_EQ(h.recs[0].done[0].op, 1u);
+    EXPECT_EQ(h.recs[0].done[1].op, 2u);
     EXPECT_EQ(h.mem.l1State(0, lineOf(0x5000)), LineState::Dirty);
 }
 
@@ -126,10 +90,9 @@ TEST(MemorySystemEdge, RestoreLineFallsBackToL2WhenVetoed)
     MemParams p;
     p.l1 = CacheGeometry{4 * 2 * 32, 2, 32}; // 4 sets, 2 ways
     Harness h(p);
-    Recorder rec;
-    h.mem.setListener(0, &rec);
-    h.mem.access(0, 0 * 32, MemCmd::Read, nullptr);
-    h.mem.access(0, 4 * 32, MemCmd::Read, nullptr);
+    Recorder &rec = h.recs[0];
+    h.mem.access(0, 0 * 32, MemCmd::Read, kNobody);
+    h.mem.access(0, 4 * 32, MemCmd::Read, kNobody);
     h.eq.run();
     rec.vetoed = {0, 4};
 
@@ -137,11 +100,12 @@ TEST(MemorySystemEdge, RestoreLineFallsBackToL2WhenVetoed)
     EXPECT_FALSE(h.mem.l1Contains(0, 8));
     // The data survives in the L2: a later read is an L2 hit.
     Tick start = h.eq.now();
-    Tick done = 0;
     rec.vetoed.clear();
-    h.mem.access(1, 8 * 32, MemCmd::Read, [&] { done = h.eq.now(); });
+    h.mem.access(1, 8 * 32, MemCmd::Read, tagged(1));
     h.eq.run();
-    EXPECT_LT(done - start, h.mem.params().memLatency);
+    ASSERT_EQ(h.recs[1].done.size(), 1u);
+    EXPECT_LT(h.recs[1].done[0].when - start,
+              h.mem.params().memLatency);
 }
 
 TEST(MemorySystemEdge, DirCacheDisplacementBroadcastsToSharers)
@@ -149,16 +113,15 @@ TEST(MemorySystemEdge, DirCacheDisplacementBroadcastsToSharers)
     MemParams p;
     p.dirCacheEntries = 2;
     Harness h(p);
-    Recorder rec;
-    h.mem.setListener(0, &rec);
+    Recorder &rec = h.recs[0];
 
     // Proc 0 caches two lines; touching a third displaces the first
     // entry, whose one-line signature must reach proc 0.
-    h.mem.access(0, 0 * 32, MemCmd::Read, nullptr);
+    h.mem.access(0, 0 * 32, MemCmd::Read, kNobody);
     h.eq.run();
-    h.mem.access(0, 100 * 32, MemCmd::Read, nullptr);
+    h.mem.access(0, 100 * 32, MemCmd::Read, kNobody);
     h.eq.run();
-    h.mem.access(1, 200 * 32, MemCmd::Read, nullptr);
+    h.mem.access(1, 200 * 32, MemCmd::Read, kNobody);
     h.eq.run();
     EXPECT_GE(h.mem.dirDisplacements(), 1u);
     EXPECT_GE(rec.wsigs, 1u);
@@ -170,22 +133,19 @@ TEST(MemorySystemEdge, BouncedReadEventuallyCompletes)
     Harness h;
     // A commit with a long-ish ack path: a concurrent read bounces
     // but completes after the W retires.
-    h.mem.access(1, 0x6000, MemCmd::Read, nullptr);
-    h.mem.access(0, 0x6000, MemCmd::Read, nullptr);
+    h.mem.access(1, 0x6000, MemCmd::Read, kNobody);
+    h.mem.access(0, 0x6000, MemCmd::Read, kNobody);
     h.eq.run();
     h.mem.markDirty(0, lineOf(0x6000));
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0x6000));
-    Recorder rec;
-    h.mem.setListener(0, &rec);
-    bool read_done = false;
     h.mem.bulkCommit(0, 1, w, {lineOf(0x6000)});
     h.eq.schedule(h.eq.now() + 9, [&] {
-        h.mem.access(2, 0x6000, MemCmd::Read, [&] { read_done = true; });
+        h.mem.access(2, 0x6000, MemCmd::Read, tagged(1));
     });
     h.eq.run();
-    EXPECT_EQ(rec.commitsDone, 1u);
-    EXPECT_TRUE(read_done);
+    EXPECT_EQ(h.recs[0].commitsDone.size(), 1u);
+    EXPECT_EQ(h.recs[2].done.size(), 1u);
 }
 
 /**
@@ -208,7 +168,6 @@ struct LateCommitW
         h.mem.setFaultPlane(&faults);
         h.mem.harden(ResendConfig{max_resend, 64, 1024});
         h.eq.setTrace(&trace);
-        h.mem.setListener(0, &rec);
         h.mem.warmL1(0, lineOf(0x7000), /*dirty=*/false);
         h.mem.markDirty(0, lineOf(0x7000));
         w->insert(lineOf(0x7000));
@@ -225,7 +184,7 @@ struct LateCommitW
     Harness h;
     FaultPlane faults;
     EventTrace trace{~std::uint32_t{0}};
-    Recorder rec;
+    Recorder &rec = h.recs[0];
     std::shared_ptr<Signature> w = std::make_shared<Signature>();
 };
 
@@ -237,7 +196,7 @@ TEST(MemorySystemEdge, CommitWDeliveredAfterResendGiveUpCompletes)
     t.h.mem.bulkCommit(0, 1, t.w, {lineOf(0x7000)});
     t.h.eq.run();
     EXPECT_EQ(t.stat("mem.commit_abandoned"), 1.0);
-    EXPECT_EQ(t.rec.commitsDone, 1u);
+    EXPECT_EQ(t.rec.commitsDone.size(), 1u);
     EXPECT_EQ(t.trace.count(TraceEventType::DirExpand), 1u);
 }
 
@@ -250,7 +209,7 @@ TEST(MemorySystemEdge, DuplicateWAfterCommitCompletedIsIgnored)
     t.h.mem.bulkCommit(0, 1, t.w, {lineOf(0x7000)});
     t.h.eq.run();
     EXPECT_EQ(t.stat("mem.commit_resends"), 2.0);
-    EXPECT_EQ(t.rec.commitsDone, 1u);
+    EXPECT_EQ(t.rec.commitsDone.size(), 1u);
     EXPECT_EQ(t.trace.count(TraceEventType::DirExpand), 1u);
     Tick expanded = 0;
     for (const TraceEvent &e : t.trace.snapshot()) {
@@ -259,10 +218,9 @@ TEST(MemorySystemEdge, DuplicateWAfterCommitCompletedIsIgnored)
     }
     EXPECT_GT(t.h.eq.now(), expanded + 100); // the late copies landed
 
-    bool read_done = false;
-    t.h.mem.access(1, 0x7000, MemCmd::Read, [&] { read_done = true; });
+    t.h.mem.access(1, 0x7000, MemCmd::Read, tagged(1));
     t.h.eq.run();
-    EXPECT_TRUE(read_done);
+    EXPECT_EQ(t.h.recs[1].done.size(), 1u);
     EXPECT_EQ(t.h.mem.bouncedReads(), 0u);
 }
 

@@ -232,22 +232,6 @@ TEST(EventQueue, PendingEventsAreDestroyedWithTheQueue)
     EXPECT_EQ(token.use_count(), 1);
 }
 
-TEST(EventQueue, OversizedCapturesWork)
-{
-    // Captures beyond the inline budget of the event representation
-    // fall back to a heap cell; behaviour must be identical.
-    struct Big
-    {
-        char pad[200];
-    } big{};
-    big.pad[0] = 42;
-    EventQueue eq;
-    int seen = 0;
-    eq.schedule(3, [big, &seen] { seen = big.pad[0]; });
-    eq.run();
-    EXPECT_EQ(seen, 42);
-}
-
 TEST(EventQueue, StopHaltsTheRunLoop)
 {
     // stop() from inside a handler makes run() return at the next
