@@ -53,25 +53,6 @@ BulkProcessor::findChunk(std::uint64_t seq)
     return nullptr;
 }
 
-void
-BulkProcessor::retireWindow()
-{
-    while (!window.empty() && window.front().completed)
-        window.pop_front();
-}
-
-bool
-BulkProcessor::windowFull() const
-{
-    if (window.size() >= prm.windowOps)
-        return true;
-    if (!window.empty() &&
-        trace.instrsBetween(window.front().opIdx, pos) >= prm.robInstrs) {
-        return true;
-    }
-    return false;
-}
-
 std::uint64_t
 BulkProcessor::specRead(Addr addr) const
 {
@@ -265,10 +246,10 @@ BulkProcessor::issueLoad(Chunk &c, const Op &op)
         recordLoad(op, specRead(op.addr));
     logLoad(c, op.addr, specRead(op.addr), op.tracked);
 
-    window.push_back({pos, c.seq, false});
-    // No epoch guard: after a squash the window scan and chunk lookup
-    // find nothing for dropped work, while completions for surviving
-    // older chunks' loads must still land.
+    window.push_back({pos, line, c.seq, false});
+    // The tag names the chunk, not the epoch: after a squash the window
+    // and chunk lookups find nothing for dropped work, while
+    // completions for surviving older chunks' loads must still land.
     if (mem.access(pid, op.addr, MemCmd::Read,
                    accessTag(AccessKind::Load, pos, c.seq)))
         window.back().completed = true;
@@ -283,10 +264,7 @@ BulkProcessor::onAccessDone(LineAddr line, AccessTag tag)
       case AccessKind::Load: {
         // Only the entry of op tag.op in chunk tag.id: a re-issue of
         // the op in a younger chunk has its own completion.
-        for (auto &w : window) {
-            if (w.opIdx == tag.op && w.chunkSeq == tag.id)
-                w.completed = true;
-        }
+        completeEntry(tag.op, tag.id);
         Chunk *ch = findChunk(tag.id);
         if (ch && ch->inflightLoads) {
             --ch->inflightLoads;
@@ -315,7 +293,7 @@ BulkProcessor::onAccessDone(LineAddr line, AccessTag tag)
 void
 BulkProcessor::issueStore(Chunk &c, const Op &op)
 {
-    window.push_back({pos, c.seq, true});
+    window.push_back({pos, lineOf(op.addr, prm.lineBytes), c.seq, true});
     storeToChunk(c, op.addr, op.stackRef, op.tracked, op.storeValue);
 }
 
@@ -323,8 +301,7 @@ void
 BulkProcessor::finishOp()
 {
     const Op &op = trace.ops[pos];
-    ++pos;
-    gapCharged = false;
+    nextOp();
     // An io op completes only after every chunk drained (the Drain
     // sync stage), so there may be no live chunk to charge; the next
     // one starts fresh.
@@ -367,12 +344,9 @@ BulkProcessor::advance()
             return; // both signature pairs busy
 
         const Op &op = trace.ops[pos];
-        if (!gapCharged) {
-            fetchAvail = fetchAdvance(op.gap + 1);
-            gapCharged = true;
-        }
-        if (fetchAvail > curTick()) {
-            scheduleAdvance(fetchAvail);
+        const Tick fetched = fetchOp();
+        if (fetched > curTick()) {
+            scheduleAdvance(fetched);
             return;
         }
 
@@ -744,7 +718,7 @@ BulkProcessor::fingerprint() const
         h = mix64(h ^ ch);
     }
     for (const auto &e : window) {
-        h = mix64(h ^ e.opIdx ^ (e.chunkSeq << 20) ^
+        h = mix64(h ^ e.opIdx ^ (e.id << 20) ^
                   (std::uint64_t{e.completed} << 63));
     }
     // An abandoned transaction waits only for a straggling reply.
@@ -812,18 +786,13 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
     }
     lastSquashTick = curTick();
 
-    pos = chunks[idx]->startPos;
+    // The squashed chunks' ops are exactly those from startPos on.
+    const std::size_t restart = chunks[idx]->startPos;
     txnDepth = chunks[idx]->txnDepthAtStart;
-    std::uint64_t cut = chunks[idx]->seq;
-    while (!window.empty() && window.back().chunkSeq >= cut)
-        window.pop_back();
     for (std::size_t j = idx; j < chunks.size(); ++j)
         releaseSpecLines(*chunks[j]);
     chunks.erase(chunks.begin() + static_cast<long>(idx), chunks.end());
-
-    ++epoch;
     syncBusy = false;
-    gapCharged = false;
 
     // Forward progress, measure 1: exponentially shrink the chunk.
     unsigned shift =
@@ -836,7 +805,7 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
     if (consecutiveSquashes >= bprm.preArbThreshold && !preArbPending)
         requestPreArb();
 
-    scheduleAdvance(curTick() + prm.squashPenalty);
+    rollBack(restart);
 }
 
 void

@@ -209,13 +209,6 @@ class BulkProcessor : public ProcessorBase, public ArbiterClient
     void chargeInstrs(unsigned n) override;
 
   private:
-    struct WinEntry
-    {
-        std::size_t opIdx;
-        std::uint64_t chunkSeq;
-        bool completed;
-    };
-
     /** Current (youngest, still-open) chunk; opens one if a signature
      *  pair is free. nullptr when stalled on chunk slots. */
     Chunk *currentChunk();
@@ -223,9 +216,6 @@ class BulkProcessor : public ProcessorBase, public ArbiterClient
     Chunk *findChunk(std::uint64_t seq);
 
     void finishOp();
-
-    void retireWindow();
-    bool windowFull() const;
 
     void issueLoad(Chunk &c, const Op &op);
     void issueStore(Chunk &c, const Op &op);
@@ -341,9 +331,6 @@ class BulkProcessor : public ProcessorBase, public ArbiterClient
      *  seq (the bulkCommit tag). */
     std::unordered_map<std::uint64_t, SigPtr> committing;
 
-    std::deque<WinEntry> window;
-    Tick fetchAvail = 0;
-    bool gapCharged = false;
     bool syncBusy = false;
 
     PrivateBuffer privBuf;

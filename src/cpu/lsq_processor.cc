@@ -91,8 +91,7 @@ void
 LsqProcessor::retireAndStep(const Op &op)
 {
     nRetired += op.gap + 1;
-    ++pos;
-    gapCharged = false;
+    nextOp();
 }
 
 void
@@ -105,25 +104,6 @@ LsqProcessor::performChained(const Op &op)
         mem.writeValue(op.addr, op.storeValue);
     }
     retireAndStep(op);
-}
-
-void
-LsqProcessor::retireWindow()
-{
-    while (!window.empty() && window.front().completed) {
-        nRetired += trace.ops[window.front().opIdx].gap + 1;
-        window.pop_front();
-    }
-}
-
-bool
-LsqProcessor::windowFull() const
-{
-    if (window.size() >= prm.windowOps)
-        return true;
-    return !window.empty() &&
-           trace.instrsBetween(window.front().opIdx, pos) >=
-               prm.robInstrs;
 }
 
 const Op *
@@ -185,28 +165,13 @@ LsqProcessor::drainStores()
                  accessTag(AccessKind::Drain, idx));
 }
 
-bool
-LsqProcessor::completeEntry(std::uint32_t idx, std::uint32_t e)
-{
-    // Completions for entries that survive a squash must still land
-    // or the window would wedge; the epoch keeps a pre-squash
-    // completion off the re-issued entry of the same op.
-    for (WinEntry &w : window) {
-        if (w.opIdx == idx && w.epoch == e) {
-            w.completed = true;
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 LsqProcessor::issueToWindow(const Op &op)
 {
     const std::size_t idx = pos;
     const LineAddr line = lineOf(op.addr, prm.lineBytes);
     if (op.type == OpType::Load) {
-        window.push_back({idx, line, false, epoch});
+        window.push_back({idx, line, epoch, false});
         auto lat = mem.access(pid, op.addr, MemCmd::Read,
                               accessTag(AccessKind::Load, idx, epoch));
         if (lat) {
@@ -222,18 +187,17 @@ LsqProcessor::issueToWindow(const Op &op)
         // stay in the window, open to squash; otherwise it completes
         // now.
         const bool owned = bufferStore(idx);
-        window.push_back({idx, line, owned || !row.squashOnViolation,
-                          epoch});
+        window.push_back({idx, line, epoch,
+                          owned || !row.squashOnViolation});
     }
-    ++pos;
-    gapCharged = false;
-    retireWindow();
+    nextOp();
+    nRetired += retireWindow();
 }
 
 void
 LsqProcessor::advance()
 {
-    retireWindow();
+    nRetired += retireWindow();
     // The chain batches L1-hit work into one event; the window issues
     // each op exactly when the front end delivers it.
     const Tick batch = row.loadPassesLoad ? 0 : prm.batchWindow;
@@ -251,12 +215,7 @@ LsqProcessor::advance()
             issuePrefetches();
 
         const Op &op = trace.ops[pos];
-        if (!gapCharged) {
-            fetchAvail = fetchAdvance(op.gap + 1);
-            gapCharged = true;
-        }
-
-        Tick start = std::max(curTick(), fetchAvail);
+        Tick start = std::max(curTick(), fetchOp());
         const bool buffered =
             op.type == OpType::Store && row.loadPassesStore;
         if (buffered && row.storeBufferEntries &&
@@ -357,13 +316,8 @@ LsqProcessor::maybeSquash(LineAddr line)
         const std::size_t target = w.opIdx;
         nWasted += trace.instrsBetween(target, pos);
         ++nSquashes;
-        while (!window.empty() && window.back().opIdx >= target)
-            window.pop_back();
-        pos = target;
-        ++epoch;
         busy = false;
-        gapCharged = false;
-        scheduleAdvance(curTick() + prm.squashPenalty);
+        rollBack(target);
         return;
     }
 }

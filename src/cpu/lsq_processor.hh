@@ -16,10 +16,12 @@
  *    round-trip latency. Read/exclusive prefetches for ops inside the
  *    ROB [12] turn most misses into hits. L1-hit work up to
  *    CpuParams::batchWindow ticks ahead is batched into one event.
- *  - the out-of-order window (RC, SC++): loads and stores issue as the
- *    front end delivers them, up to CpuParams::windowOps ops and
- *    CpuParams::robInstrs instructions, and retire in order once they
- *    have completed.
+ *  - the out-of-order window (RC, SC++): loads and stores issue into
+ *    ProcessorBase's memory-op window as the front end delivers them,
+ *    up to CpuParams::windowOps ops and CpuParams::robInstrs
+ *    instructions, and retire in order once they have completed. A
+ *    window entry's id is the squash epoch; SC++ repairs a violation
+ *    with ProcessorBase::rollBack().
  *
  * Stores that loads may pass retire into a store buffer that later
  * loads forward from. Where stores may not pass stores (TSO) the buffer
@@ -88,19 +90,6 @@ class LsqProcessor : public ProcessorBase
     void syncDone() override;
 
   private:
-    /** An op in the out-of-order window. */
-    struct WinEntry
-    {
-        std::size_t opIdx;
-        LineAddr line;
-        bool completed;
-        std::uint32_t epoch; //!< squash epoch the entry was issued in
-    };
-
-    /** Mark op @p idx's entry from epoch @p e completed.
-     *  @return false if a squash dropped it. */
-    bool completeEntry(std::uint32_t idx, std::uint32_t e);
-
     void issuePrefetches();
 
     /** Count op @p op retired and step to the next one. */
@@ -111,12 +100,6 @@ class LsqProcessor : public ProcessorBase
 
     /** Issue the load or store at pos into the window. */
     void issueToWindow(const Op &op);
-
-    /** Retire completed ops from the window head. */
-    void retireWindow();
-
-    /** Issue must stall on the window or ROB limit. */
-    bool windowFull() const;
 
     /** Retire store @p idx into the store buffer.
      *  @return true if it performed at once (ownership was held). */
@@ -140,10 +123,6 @@ class LsqProcessor : public ProcessorBase
 
     const OrderingRow row;
 
-    /** Front-end availability of the op at pos. */
-    Tick fetchAvail = 0;
-    bool gapCharged = false;
-
     /** The op at pos is executing: a chained miss or a sync. */
     bool busy = false;
 
@@ -152,9 +131,6 @@ class LsqProcessor : public ProcessorBase
 
     /** Chain: time the in-order perform chain has reached. */
     Tick performTick = 0;
-
-    /** Window: issued ops, oldest first. */
-    std::deque<WinEntry> window;
 
     /** Op indices of retired stores not yet visible, oldest first. */
     std::deque<std::size_t> storeBuffer;

@@ -1,8 +1,12 @@
 /**
  * @file
- * Common machinery for all processor models: front-end (fetch/issue
- * rate) accounting, load-value recording, statistics, and the
- * synchronization engine.
+ * Common machinery for all processor models: the front end, the
+ * memory-op window and its rollback, load-value recording, statistics,
+ * and the synchronization engine.
+ *
+ * A window entry's id is the squash epoch (baselines) or the chunk seq
+ * (BulkSC) that the core's AccessTags carry. The window helpers are
+ * inline: both cores' per-op loops run through them.
  *
  * The engine is data: a processor holds at most one in-flight sync
  * record (op index, phase, backoff attempts, start epoch, and the
@@ -30,6 +34,7 @@
 #ifndef BULKSC_CPU_PROCESSOR_BASE_HH
 #define BULKSC_CPU_PROCESSOR_BASE_HH
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -189,6 +194,87 @@ class ProcessorBase : public SimObject, public CacheListener
      */
     Tick fetchAdvance(std::uint32_t instrs);
 
+    /** Fetch tick of the op at pos; the first call charges the op
+     *  and its gap to the front end. */
+    Tick
+    fetchOp()
+    {
+        if (!gapCharged) {
+            fetchAvail = fetchAdvance(trace.ops[pos].gap + 1);
+            gapCharged = true;
+        }
+        return fetchAvail;
+    }
+
+    /** Step the front end past the op at pos. */
+    void
+    nextOp()
+    {
+        ++pos;
+        gapCharged = false;
+    }
+
+    /** An issued load or store in the window. */
+    struct WinEntry
+    {
+        std::size_t opIdx;
+        LineAddr line;
+        std::uint64_t id; //!< squash epoch, or BulkSC chunk seq
+        bool completed;
+    };
+
+    /** Issue must stall on the window or ROB limit. */
+    bool
+    windowFull() const
+    {
+        if (window.size() >= prm.windowOps)
+            return true;
+        return !window.empty() &&
+               trace.instrsBetween(window.front().opIdx, pos) >=
+                   prm.robInstrs;
+    }
+
+    /** Mark op @p op's entry issued under @p id completed.
+     *  @return false if a rollback dropped it. */
+    bool
+    completeEntry(std::size_t op, std::uint64_t id)
+    {
+        for (WinEntry &w : window) {
+            if (w.opIdx == op && w.id == id) {
+                w.completed = true;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /** Retire completed entries from the head.
+     *  @return the instructions (ops and their gaps) retired. */
+    std::uint64_t
+    retireWindow()
+    {
+        std::uint64_t n = 0;
+        while (!window.empty() && window.front().completed) {
+            n += trace.ops[window.front().opIdx].gap + 1;
+            window.pop_front();
+        }
+        return n;
+    }
+
+    /** Roll back to op @p to_op: drop the window entries at or after
+     *  it, rewind the front end, end the epoch and resume after the
+     *  squash penalty. */
+    void
+    rollBack(std::size_t to_op)
+    {
+        while (!window.empty() && window.back().opIdx >= to_op)
+            window.pop_back();
+        pos = to_op;
+        ++epoch;
+        gapCharged = false;
+        scheduleAdvance(curTick() + prm.squashPenalty);
+    }
+
     /** Mark the trace complete. */
     void markFinished();
 
@@ -272,6 +358,9 @@ class ProcessorBase : public SimObject, public CacheListener
      *  with one. Not part of fingerprint(). */
     SyncRecord sync;
 
+    /** Issued loads and stores, oldest first. */
+    std::deque<WinEntry> window;
+
     // statistics (maintained by subclasses)
     std::uint64_t nRetired = 0;
     std::uint64_t nWasted = 0;
@@ -292,6 +381,9 @@ class ProcessorBase : public SimObject, public CacheListener
 
     Tick fetchTick = 0;
     std::uint32_t fetchCarry = 0;
+
+    Tick fetchAvail = 0;
+    bool gapCharged = false;
 
     bool finishedFlag = false;
     Tick finishTick_ = 0;

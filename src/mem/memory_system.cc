@@ -625,6 +625,12 @@ MemorySystem::l1DiscardSpeculative(
 void
 MemorySystem::restoreLine(ProcId p, LineAddr line)
 {
+    // An owner fetch or a remote write took the line: the committed
+    // copy is in the L2, and a Dirty copy here would let the next
+    // store skip W, so it would never be published.
+    const DirEntry *e = peekDir(line);
+    if (!e || !e->dirty || e->owner != p)
+        return;
     std::optional<Victim> vic;
     CacheLine *ins =
         l1s[p].array.insert(line, LineState::Dirty, filterFor(p), vic);

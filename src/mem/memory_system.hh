@@ -222,7 +222,8 @@ class MemorySystem : public SimObject
     void l1DiscardSpeculative(ProcId p, const Signature &w,
                               const std::unordered_set<LineAddr> &spec_lines);
 
-    /** Re-insert @p line as dirty in @p p's L1 (Private Buffer restore). */
+    /** Re-insert @p line as dirty in @p p's L1 (Private Buffer restore)
+     *  while the directory still records @p p as its dirty owner. */
     void restoreLine(ProcId p, LineAddr line);
 
     /**

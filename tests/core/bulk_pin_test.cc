@@ -43,7 +43,7 @@ constexpr Pin kPins[] = {
      527},
     {"BSCdypvt", "radiosity", 29963, 480016, 5833, 8, 13399, 11261, 12,
      488},
-    {"BSCdypvt", "sjbb2k", 46194, 480019, 45637, 66, 39189, 29870, 1777,
+    {"BSCdypvt", "sjbb2k", 46194, 480019, 45637, 66, 39191, 29872, 1776,
      544},
     {"BSCstpvt", "ocean", 43497, 485151, 43294, 61, 35569, 29332, 3403,
      543},

@@ -95,6 +95,11 @@ TEST(MemorySystemEdge, RestoreLineFallsBackToL2WhenVetoed)
     h.mem.access(0, 4 * 32, MemCmd::Read, kNobody);
     h.eq.run();
     rec.vetoed = {0, 4};
+    // Proc 0 owns line 8 without holding it: its fill bypassed the
+    // vetoed set.
+    h.mem.access(0, 8 * 32, MemCmd::ReadEx, kNobody);
+    h.eq.run();
+    ASSERT_FALSE(h.mem.l1Contains(0, 8));
 
     h.mem.restoreLine(0, 8); // maps to set 0; both ways vetoed
     EXPECT_FALSE(h.mem.l1Contains(0, 8));

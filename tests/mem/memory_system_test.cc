@@ -358,8 +358,29 @@ TEST(MemorySystem, NarrowBankSquashDiscardProbesEverySet)
 TEST(MemorySystem, RestoreLineReinsertsDirty)
 {
     Harness h;
+    h.mem.access(0, 0xC000, MemCmd::ReadEx, kNobody); // proc 0 owns it
+    h.eq.run();
     h.mem.restoreLine(0, lineOf(0xC000));
     EXPECT_EQ(h.mem.l1State(0, lineOf(0xC000)), LineState::Dirty);
+}
+
+TEST(MemorySystem, RestoreLineAfterOwnerFetchKeepsDirectoryState)
+{
+    // Proc 0 owns the line; proc 1's read downgrades it and writes it
+    // back. A restore must not bring back the ownership the directory
+    // gave away.
+    Harness h;
+    const LineAddr line = lineOf(0xC000);
+    h.mem.access(0, 0xC000, MemCmd::ReadEx, kNobody);
+    h.eq.run();
+    h.mem.access(1, 0xC000, MemCmd::Read, kNobody);
+    h.eq.run();
+    ASSERT_EQ(h.recs[0].ownerFetches.size(), 1u);
+    h.mem.restoreLine(0, line);
+    EXPECT_NE(h.mem.l1State(0, line), LineState::Dirty);
+    const DirEntry *e = h.mem.peekDir(line);
+    ASSERT_NE(e, nullptr);
+    EXPECT_FALSE(e->dirty);
 }
 
 TEST(MemorySystem, WritebackLineKeepsL1Copy)
