@@ -81,13 +81,23 @@ class PrivateBuffer
 class SpecWays
 {
   public:
-    explicit SpecWays(std::uint64_t num_sets) : sets(num_sets) {}
+    /** @param num_sets The L1 set count, a power of two. */
+    explicit SpecWays(std::uint64_t num_sets)
+        : sets(num_sets), setMask(num_sets - 1)
+    {}
+
+    /** True iff @p a and @p b map to the same L1 set. */
+    bool
+    sameSet(LineAddr a, LineAddr b) const
+    {
+        return ((a ^ b) & setMask) == 0;
+    }
 
     /** One more chunk set holds @p l. */
     void
     add(LineAddr l)
     {
-        auto &set = sets[l % sets.size()];
+        auto &set = sets[l & setMask];
         for (Entry &e : set) {
             if (e.line == l) {
                 ++e.refs;
@@ -101,7 +111,7 @@ class SpecWays
     void
     release(LineAddr l)
     {
-        auto &set = sets[l % sets.size()];
+        auto &set = sets[l & setMask];
         for (Entry &e : set) {
             if (e.line == l) {
                 if (--e.refs == 0) {
@@ -117,7 +127,7 @@ class SpecWays
     bool
     holds(LineAddr l) const
     {
-        for (const Entry &e : sets[l % sets.size()]) {
+        for (const Entry &e : sets[l & setMask]) {
             if (e.line == l)
                 return true;
         }
@@ -128,7 +138,7 @@ class SpecWays
     std::size_t
     linesInSet(LineAddr l) const
     {
-        return sets[l % sets.size()].size();
+        return sets[l & setMask].size();
     }
 
   private:
@@ -139,6 +149,7 @@ class SpecWays
     };
 
     std::vector<std::vector<Entry>> sets;
+    std::uint64_t setMask;
 };
 
 /**

@@ -149,7 +149,7 @@ void
 BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
                             bool tracked, std::uint64_t value)
 {
-    LineAddr line = lineOf(addr, prm.lineBytes);
+    LineAddr line = mem.lineOfAddr(addr);
 
     if (bprm.statPrivOpt && stack_ref) {
         addWpriv(c, line);
@@ -212,6 +212,17 @@ BulkProcessor::wouldOverflowSet(LineAddr line) const
     return specWays.linesInSet(line) >= mem.params().l1.assoc - 1;
 }
 
+std::size_t
+BulkProcessor::chunkLinesInSet(const Chunk &c, LineAddr line) const
+{
+    std::size_t n = 0;
+    for (LineAddr l : c.wLines)
+        n += specWays.sameSet(l, line);
+    for (LineAddr l : c.wprivLines)
+        n += specWays.sameSet(l, line) && !c.wLines.count(l);
+    return n;
+}
+
 void
 BulkProcessor::addW(Chunk &c, LineAddr l)
 {
@@ -240,7 +251,7 @@ BulkProcessor::releaseSpecLines(const Chunk &c)
 void
 BulkProcessor::issueLoad(Chunk &c, const Op &op)
 {
-    LineAddr line = lineOf(op.addr, prm.lineBytes);
+    LineAddr line = mem.lineOfAddr(op.addr);
     loadToChunk(c, line, op.stackRef);
     if (op.aux != kNoSlot)
         recordLoad(op, specRead(op.addr));
@@ -293,7 +304,7 @@ BulkProcessor::onAccessDone(LineAddr line, AccessTag tag)
 void
 BulkProcessor::issueStore(Chunk &c, const Op &op)
 {
-    window.push_back({pos, lineOf(op.addr, prm.lineBytes), c.seq, true});
+    window.push_back({pos, mem.lineOfAddr(op.addr), c.seq, true});
     storeToChunk(c, op.addr, op.stackRef, op.tracked, op.storeValue);
 }
 
@@ -379,13 +390,19 @@ BulkProcessor::advance()
             // way. If the current chunk contributes to the pressure,
             // end it (the store lands in the next chunk); if the
             // pressure comes entirely from a predecessor chunk, wait
-            // for it to commit.
-            LineAddr line = lineOf(op.addr, prm.lineBytes);
+            // for it to commit. A transaction cannot end its chunk
+            // early, so it always waits; only its own lines filling
+            // the set is an overflow.
+            LineAddr line = mem.lineOfAddr(op.addr);
             if (wouldOverflowSet(line)) {
-                fatal_if(txnDepth > 0,
-                         "transaction working set exceeds L1 way "
-                         "capacity; transactions are cache-bounded "
-                         "(Section 8)");
+                if (txnDepth > 0) {
+                    fatal_if(chunkLinesInSet(*cur, line) >=
+                                 mem.params().l1.assoc - 1,
+                             "transaction working set exceeds L1 way "
+                             "capacity; transactions are cache-bounded "
+                             "(Section 8)");
+                    return; // wake on predecessor commit
+                }
                 endChunk(*cur);
                 if (chunks.size() >= bprm.maxLiveChunks)
                     return; // wake on predecessor commit
@@ -915,7 +932,7 @@ BulkProcessor::syncStage(bool bind)
         eventq.scheduleAfter(1, [this, e] { syncStep(e, 0); });
         return;
     }
-    loadToChunk(*c, lineOf(sync.addr, prm.lineBytes), false);
+    loadToChunk(*c, mem.lineOfAddr(sync.addr), false);
     if (!bind) {
         accessTagged(sync.addr, MemCmd::Read,
                      accessTag(AccessKind::SyncLoad, 0, e));

@@ -227,6 +227,9 @@ class BulkProcessor : public ProcessorBase, public ArbiterClient
      */
     bool wouldOverflowSet(LineAddr line) const;
 
+    /** Distinct speculative lines of @p c alone in @p line's L1 set. */
+    std::size_t chunkLinesInSet(const Chunk &c, LineAddr line) const;
+
     /** Insert @p l into @p c's W (or Wpriv) and its exact line set. */
     void addW(Chunk &c, LineAddr l);
     void addWpriv(Chunk &c, LineAddr l);

@@ -169,7 +169,7 @@ void
 LsqProcessor::issueToWindow(const Op &op)
 {
     const std::size_t idx = pos;
-    const LineAddr line = lineOf(op.addr, prm.lineBytes);
+    const LineAddr line = mem.lineOfAddr(op.addr);
     if (op.type == OpType::Load) {
         window.push_back({idx, line, epoch, false});
         auto lat = mem.access(pid, op.addr, MemCmd::Read,

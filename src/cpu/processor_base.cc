@@ -76,7 +76,7 @@ ProcessorBase::accessTagged(Addr addr, MemCmd cmd, AccessTag tag)
 {
     if (auto lat = mem.access(pid, addr, cmd, tag)) {
         eventq.scheduleAfter(*lat,
-                             [this, line = lineOf(addr, prm.lineBytes),
+                             [this, line = mem.lineOfAddr(addr),
                               tag] { onAccessDone(line, tag); });
     }
 }

@@ -121,7 +121,7 @@ class TagPool
 } // namespace
 
 CacheArray::CacheArray(const CacheGeometry &g)
-    : geom(g)
+    : geom(g), setMask(g.setMask())
 {
     geom.validate();
     lines = static_cast<CacheLine *>(
@@ -140,7 +140,8 @@ CacheArray::~CacheArray()
 }
 
 CacheArray::CacheArray(CacheArray &&other) noexcept
-    : geom(other.geom), lines(std::exchange(other.lines, nullptr)),
+    : geom(other.geom), setMask(other.setMask),
+      lines(std::exchange(other.lines, nullptr)),
       occupied(std::move(other.occupied)),
       lruCounter(other.lruCounter), nHits(other.nHits),
       nMisses(other.nMisses)
@@ -148,10 +149,9 @@ CacheArray::CacheArray(CacheArray &&other) noexcept
 }
 
 CacheLine *
-CacheArray::findWay(LineAddr line)
+CacheArray::findWay(LineAddr line) const
 {
-    std::uint32_t set = geom.setIndex(line);
-    CacheLine *base = &lines[std::size_t{set} * geom.assoc];
+    CacheLine *base = &lines[std::size_t{setOf(line)} * geom.assoc];
     for (unsigned w = 0; w < geom.assoc; ++w) {
         if (base[w].valid() && base[w].line == line)
             return &base[w];
@@ -175,13 +175,7 @@ CacheArray::lookup(LineAddr line)
 const CacheLine *
 CacheArray::peek(LineAddr line) const
 {
-    std::uint32_t set = geom.setIndex(line);
-    const CacheLine *base = &lines[std::size_t{set} * geom.assoc];
-    for (unsigned w = 0; w < geom.assoc; ++w) {
-        if (base[w].valid() && base[w].line == line)
-            return &base[w];
-    }
-    return nullptr;
+    return findWay(line);
 }
 
 CacheLine *
@@ -190,7 +184,7 @@ CacheArray::insert(LineAddr line, LineState state,
                    std::optional<Victim> &victim)
 {
     victim.reset();
-    std::uint32_t set = geom.setIndex(line);
+    const std::uint32_t set = setOf(line);
     CacheLine *base = &lines[std::size_t{set} * geom.assoc];
 
     // Reuse the existing way if the line is already present.

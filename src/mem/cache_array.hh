@@ -111,9 +111,18 @@ class CacheArray
     std::uint64_t fingerprint() const;
 
   private:
-    CacheLine *findWay(LineAddr line);
+    /** Set index of @p line: its low bits, as the set count is a
+     *  power of two. */
+    std::uint32_t
+    setOf(LineAddr line) const
+    {
+        return static_cast<std::uint32_t>(line & setMask);
+    }
+
+    CacheLine *findWay(LineAddr line) const;
 
     CacheGeometry geom;
+    std::uint64_t setMask; //!< geom.setMask(), cached
     CacheLine *lines = nullptr; //!< geom.numLines() entries, pooled
 
     /** Indices of the sets that have ever held a line, in first-fill

@@ -1,11 +1,16 @@
 /**
  * @file
  * Cache geometry description shared by tag arrays, the directory's
- * DirBDM decode function, and chunk overflow checks.
+ * DirBDM decode function, and chunk overflow checks. Line size and set
+ * count are powers of two (MachineConfig::validate names a violation),
+ * so a line address is a shift of a byte address and a set index is a
+ * mask of a line address.
  */
 
 #ifndef BULKSC_MEM_CACHE_GEOMETRY_HH
 #define BULKSC_MEM_CACHE_GEOMETRY_HH
+
+#include <bit>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -31,11 +36,18 @@ struct CacheGeometry
         return numLines() / assoc;
     }
 
-    /** Set index of a line address. */
-    std::uint32_t
-    setIndex(LineAddr line) const
+    /** Set index = line & setMask(). */
+    std::uint64_t
+    setMask() const
     {
-        return static_cast<std::uint32_t>(line % numSets());
+        return numSets() - 1;
+    }
+
+    /** Bits of byte offset within a line: line = addr >> lineShift(). */
+    unsigned
+    lineShift() const
+    {
+        return static_cast<unsigned>(std::countr_zero(lineBytes));
     }
 
     void

@@ -36,9 +36,8 @@ DirEntry &
 Directory::getOrCreate(LineAddr line,
                        std::vector<DirDisplacement> &displaced)
 {
-    auto it = entries.find(line);
-    if (it != entries.end())
-        return it->second;
+    if (DirEntry *e = entries.find(line))
+        return *e;
 
     // Directory cache: displace the oldest entry when full
     // (Section 4.3.3). The caller broadcasts the displacement
@@ -46,12 +45,11 @@ Directory::getOrCreate(LineAddr line,
     if (maxEntries && entries.size() >= maxEntries) {
         while (fifoHead < fifo.size()) {
             LineAddr victim = fifo[fifoHead++];
-            auto vit = entries.find(victim);
-            if (vit == entries.end())
+            const DirEntry *ve = entries.find(victim);
+            if (!ve)
                 continue; // stale fifo slot
-            displaced.push_back(DirDisplacement{
-                victim, vit->second.sharers, vit->second.dirty,
-                vit->second.owner});
+            displaced.push_back(DirDisplacement{victim, ve->sharers,
+                                                ve->dirty, ve->owner});
             eraseEntry(victim);
             break;
         }
@@ -62,20 +60,17 @@ Directory::getOrCreate(LineAddr line,
         }
     }
 
-    DirEntry &e = entries[line];
     buckets[bucketOf(line)].push_back(line);
     if (maxEntries)
         fifo.push_back(line);
-    return e;
+    return entries[line];
 }
 
-DirEntry &
+void
 Directory::recordRead(LineAddr line, ProcId p,
                       std::vector<DirDisplacement> &displaced)
 {
-    DirEntry &e = getOrCreate(line, displaced);
-    e.addSharer(p);
-    return e;
+    getOrCreate(line, displaced).addSharer(p);
 }
 
 std::uint32_t
@@ -93,24 +88,20 @@ Directory::recordReadEx(LineAddr line, ProcId p,
 void
 Directory::recordWriteback(LineAddr line, ProcId p)
 {
-    auto it = entries.find(line);
-    if (it == entries.end())
-        return;
-    DirEntry &e = it->second;
-    if (e.dirty && e.owner == p)
-        e.dirty = false;
+    DirEntry *e = entries.find(line);
+    if (e && e->dirty && e->owner == p)
+        e->dirty = false;
 }
 
 void
 Directory::dropSharer(LineAddr line, ProcId p)
 {
-    auto it = entries.find(line);
-    if (it == entries.end())
+    DirEntry *e = entries.find(line);
+    if (!e)
         return;
-    DirEntry &e = it->second;
-    e.sharers &= ~(1u << p);
-    if (e.dirty && e.owner == p)
-        e.dirty = false;
+    e->sharers &= ~(1u << p);
+    if (e->dirty && e->owner == p)
+        e->dirty = false;
 }
 
 ExpansionResult
@@ -175,14 +166,13 @@ Directory::expand(const Signature &w, ProcId committer)
 const DirEntry *
 Directory::peek(LineAddr line) const
 {
-    auto it = entries.find(line);
-    return it == entries.end() ? nullptr : &it->second;
+    return entries.find(line);
 }
 
 std::uint64_t
 Directory::fingerprint() const
 {
-    // Commutative fold over the unordered entry map.
+    // Commutative fold: slot order depends on the table's history.
     std::uint64_t h = 0;
     for (const auto &[line, e] : entries) {
         std::uint64_t v = mix64(line);

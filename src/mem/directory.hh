@@ -23,10 +23,10 @@
 #define BULKSC_MEM_DIRECTORY_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "signature/signature.hh"
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace bulksc {
@@ -100,10 +100,9 @@ class Directory
      * a directory-cache entry.
      *
      * @param[out] displaced Filled with the displaced entry, if any.
-     * @return the entry for @p line.
      */
-    DirEntry &recordRead(LineAddr line, ProcId p,
-                         std::vector<DirDisplacement> &displaced);
+    void recordRead(LineAddr line, ProcId p,
+                    std::vector<DirDisplacement> &displaced);
 
     /**
      * Record an exclusive (ReadEx) access by @p p: used by the SC/RC/
@@ -126,7 +125,8 @@ class Directory
      */
     ExpansionResult expand(const Signature &w, ProcId committer);
 
-    /** @return the entry for @p line, or nullptr. */
+    /** @return the entry for @p line, or nullptr. Valid until the
+     *  next record call, which may move entries. */
     const DirEntry *peek(LineAddr line) const;
 
     /** @return number of directory entries currently allocated. */
@@ -137,6 +137,8 @@ class Directory
     std::uint64_t fingerprint() const;
 
   private:
+    /** The entry for @p line, created if absent: valid until the next
+     *  insert or erase. */
     DirEntry &getOrCreate(LineAddr line,
                           std::vector<DirDisplacement> &displaced);
 
@@ -148,7 +150,7 @@ class Directory
     unsigned numProcs;
     std::size_t maxEntries;
 
-    std::unordered_map<LineAddr, DirEntry> entries;
+    FlatMap<LineAddr, DirEntry> entries;
 
     /** Lines bucketed by signature bank-0 index: the hardware analogue
      *  is the delta-decode directed tag probe of signature expansion.

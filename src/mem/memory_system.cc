@@ -33,7 +33,8 @@ wsigFp(SigPtr w)
 
 MemorySystem::MemorySystem(EventQueue &eq, Network &n,
                            const MemParams &params)
-    : SimObject(eq, "memsys"), prm(params), net(n), l2(prm.l2)
+    : SimObject(eq, "memsys"), prm(params),
+      lineShift(prm.l1.lineShift()), net(n), l2(prm.l2)
 {
     fatal_if(prm.numProcs == 0 || prm.numProcs > 32,
              "numProcs must be in [1, 32]");
@@ -82,7 +83,7 @@ MemorySystem::filterFor(ProcId p)
 std::optional<Tick>
 MemorySystem::access(ProcId p, Addr addr, MemCmd cmd, AccessTag tag)
 {
-    LineAddr line = lineOf(addr, prm.l1.lineBytes);
+    LineAddr line = lineOfAddr(addr);
     L1 &c = l1s[p];
 
     CacheLine *e = c.array.lookup(line);
@@ -91,21 +92,20 @@ MemorySystem::access(ProcId p, Addr addr, MemCmd cmd, AccessTag tag)
 
     // Coalesce into the line's MSHR, sent or waiting. The command can
     // still be strengthened until the directory starts processing.
-    auto it = c.mshrs.find(line);
-    if (it != c.mshrs.end()) {
-        Mshr &m = it->second;
-        if (wantsOwnership(cmd) && !m.dispatched && !wantsOwnership(m.cmd))
-            m.cmd = MemCmd::ReadEx;
+    const bool full = c.sent() >= prm.l1Mshrs;
+    auto [m, fresh] = c.mshrs.tryEmplace(line);
+    if (!fresh) {
+        if (wantsOwnership(cmd) && !m->dispatched &&
+            !wantsOwnership(m->cmd))
+            m->cmd = MemCmd::ReadEx;
         if (tag)
-            m.waiters.push_back(tag);
+            m->waiters.push_back(tag);
         return std::nullopt;
     }
 
-    const bool full = c.sent() >= prm.l1Mshrs;
-    Mshr &m = c.mshrs[line];
-    m.cmd = cmd;
+    m->cmd = cmd;
     if (tag)
-        m.waiters.push_back(tag);
+        m->waiters.push_back(tag);
     if (full)
         c.waiting.push_back(line);
     else
@@ -119,10 +119,10 @@ MemorySystem::dispatchMiss(ProcId p, LineAddr line)
     // Request message to the home directory.
     net.send(p, prm.numProcs + dirOf(line), TrafficClass::DataRdWr, 64,
              [this, p, line] {
-                 auto it = l1s[p].mshrs.find(line);
-                 if (it == l1s[p].mshrs.end())
+                 const Mshr *m = l1s[p].mshrs.find(line);
+                 if (!m)
                      return; // stale (should not happen)
-                 dirHandleRequest(p, line, it->second.cmd);
+                 dirHandleRequest(p, line, m->cmd);
              },
              lineFp(line));
 }
@@ -135,9 +135,8 @@ MemorySystem::sendInval(ProcId target, LineAddr line)
              [this, target, line] {
                  // A racing in-flight fill must not resurrect the
                  // line after this invalidation.
-                 auto mit = l1s[target].mshrs.find(line);
-                 if (mit != l1s[target].mshrs.end())
-                     mit->second.dropFill = true;
+                 if (Mshr *m = l1s[target].mshrs.find(line))
+                     m->dropFill = true;
                  LineState prev = l1s[target].array.invalidate(line);
                  if (prev == LineState::Dirty) {
                      // Dirty data travels with the acknowledgement.
@@ -188,18 +187,20 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
     if (bounces > 0)
         bounceRetries.sample(static_cast<double>(bounces));
 
-    auto it = l1s[p].mshrs.find(line);
-    if (it != l1s[p].mshrs.end())
-        it->second.dispatched = true;
+    if (Mshr *m = l1s[p].mshrs.find(line))
+        m->dispatched = true;
 
+    // Read the entry before recording: recording may insert into the
+    // directory's table, which moves its entries.
     Directory &dir = *dirs[d];
     std::vector<DirDisplacement> displaced;
     const DirEntry *pe = dir.peek(line);
-    bool owner_fetch = pe && pe->dirty && pe->owner != p;
-    bool requester_had_copy = pe && pe->isSharer(p);
+    const bool owner_fetch = pe && pe->dirty && pe->owner != p;
+    const bool requester_had_copy = pe && pe->isSharer(p);
+    const ProcId owner = owner_fetch ? pe->owner : 0;
 
-    if (owner_fetch && l1s[pe->owner].listener)
-        l1s[pe->owner].listener->onExternalOwnerFetch(line);
+    if (owner_fetch && l1s[owner].listener)
+        l1s[owner].listener->onExternalOwnerFetch(line);
 
     Tick lat = 0;
     if (wantsOwnership(cmd)) {
@@ -226,7 +227,6 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
         if (owner_fetch) {
             // Downgrade the owner; its data is written back to the L2
             // and forwarded to the requester.
-            ProcId owner = pe->owner;
             CacheLine *oe = l1s[owner].array.lookup(line);
             if (oe && oe->state == LineState::Dirty)
                 oe->state = LineState::Shared;
@@ -246,7 +246,7 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
     eventq.scheduleAfter(lat, [this, p, line, d] {
         net.send(prm.numProcs + d, p, TrafficClass::DataRdWr, 256,
                  [this, p, line] {
-                     if (l1s[p].mshrs.count(line))
+                     if (l1s[p].mshrs.contains(line))
                          finishFill(p, line);
                  },
                  lineFp(line));
@@ -257,7 +257,7 @@ void
 MemorySystem::finishFill(ProcId p, LineAddr line)
 {
     L1 &c = l1s[p];
-    Mshr &m = c.mshrs.at(line);
+    const Mshr &m = c.mshrs.at(line);
     LineState st =
         wantsOwnership(m.cmd) ? LineState::Dirty : LineState::Shared;
 
@@ -283,9 +283,10 @@ MemorySystem::finishFill(ProcId p, LineAddr line)
             c.listener->onLineDisplaced(vic->line, vic->dirty);
     }
 
-    // Taken only now: the displacement listener may have coalesced
-    // another waiter.
-    std::vector<AccessTag> waiters = std::move(m.waiters);
+    // Taken only now, and looked up again: the displacement listener
+    // may have coalesced another waiter, or opened an MSHR that moved
+    // this one.
+    std::vector<AccessTag> waiters = std::move(c.mshrs.at(line).waiters);
     c.mshrs.erase(line);
 
     // Send waiting lines into the freed MSHR.
@@ -365,7 +366,7 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
     std::vector<std::uint32_t> sets;
     std::vector<bool> seen(num_sets, false);
     for (std::uint32_t idx : w.decodeBank0()) {
-        for (std::uint64_t set = idx % num_sets; set < num_sets;
+        for (std::uint64_t set = idx & (num_sets - 1); set < num_sets;
              set += bank_bits) {
             if (!seen[set]) {
                 seen[set] = true;
@@ -437,13 +438,12 @@ MemorySystem::bulkCommit(ProcId committer, std::uint64_t tag, SigPtr w,
     }
 
     std::uint64_t commit = ++nextCommit;
-    commits.emplace(commit,
-                    CommitRecord{committer, tag, std::move(w),
-                                 static_cast<unsigned>(involved.size()),
-                                 0});
+    commits[commit] = CommitRecord{committer, tag, std::move(w),
+                                   static_cast<unsigned>(involved.size()),
+                                   0};
     for (unsigned d : involved) {
         std::uint64_t id = ++nextCommitMsg;
-        dirCommits.emplace(id, DirCommit{commit, d});
+        dirCommits[id] = DirCommit{commit, d};
         sendCommitW(id, 1);
     }
 }
@@ -477,8 +477,8 @@ MemorySystem::sendCommitW(std::uint64_t id, unsigned attempt)
                                attempt,
                                (std::uint64_t{0xd1} << 56) ^ (id << 8));
     eventq.scheduleAfter(delay, [this, id, attempt] {
-        auto it = dirCommits.find(id);
-        if (it == dirCommits.end() || it->second.delivered)
+        const DirCommit *dc = dirCommits.find(id);
+        if (!dc || dc->delivered)
             return;
         if (attempt > resend->maxResend) {
             // Give up: this directory never saw the W, the commit can
@@ -486,7 +486,7 @@ MemorySystem::sendCommitW(std::uint64_t id, unsigned attempt)
             // exactly what the watchdog exists to report.
             ++nCommitAbandoned;
             EVENT_TRACE(TraceEventType::ResendGiveUp, curTick(),
-                        trackDir(it->second.dir), id, attempt);
+                        trackDir(dc->dir), id, attempt);
             return;
         }
         sendCommitW(id, attempt + 1);
@@ -496,10 +496,10 @@ MemorySystem::sendCommitW(std::uint64_t id, unsigned attempt)
 void
 MemorySystem::commitWArrived(std::uint64_t id)
 {
-    auto it = dirCommits.find(id);
-    if (it == dirCommits.end() || it->second.delivered)
+    DirCommit *found = dirCommits.find(id);
+    if (!found || found->delivered)
         return; // duplicate or late retransmission
-    DirCommit &dc = it->second;
+    DirCommit &dc = *found;
     if (faults &&
         faults->dropMessage(FaultKind::DirNack, curTick(),
                             static_cast<int>(TrafficClass::WrSig))) {
@@ -564,17 +564,15 @@ MemorySystem::commitWArrived(std::uint64_t id)
 void
 MemorySystem::commitModuleDone(std::uint64_t id)
 {
-    auto it = dirCommits.find(id);
-    DirCommit dc = it->second;
-    dirCommits.erase(it);
+    const DirCommit dc = dirCommits.at(id);
+    dirCommits.erase(id);
     dirCommitService.sample(static_cast<double>(curTick() - dc.start));
-    auto cit = commits.find(dc.commit);
-    CommitRecord &cr = cit->second;
+    CommitRecord &cr = commits.at(dc.commit);
     eraseSig(committingSigs[dc.dir], *cr.w);
     if (--cr.modulesPending != 0)
         return;
     CommitRecord done = std::move(cr);
-    commits.erase(cit);
+    commits.erase(dc.commit);
     if (CacheListener *l = l1s[done.committer].listener)
         l->onCommitDone(done.tag, done.invalNodes);
 }
@@ -646,13 +644,16 @@ MemorySystem::restoreLine(ProcId p, LineAddr line)
     }
 }
 
-void
+std::optional<LineAddr>
 MemorySystem::warmLine(LineAddr line)
 {
     if (l2.peek(line))
-        return;
+        return std::nullopt;
     std::optional<Victim> vic;
     l2.insert(line, LineState::Shared, nullptr, vic);
+    if (!vic)
+        return std::nullopt;
+    return vic->line;
 }
 
 void
@@ -676,8 +677,8 @@ MemorySystem::warmL1(ProcId p, LineAddr line, bool dirty)
 std::uint64_t
 MemorySystem::readValue(Addr addr) const
 {
-    auto it = values.find(addr);
-    return it == values.end() ? 0 : it->second;
+    const std::uint64_t *v = values.find(addr);
+    return v ? *v : 0;
 }
 
 void

@@ -20,7 +20,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "mem/cache_array.hh"
@@ -28,6 +28,7 @@
 #include "network/network.hh"
 #include "signature/signature.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -230,8 +231,11 @@ class MemorySystem : public SimObject
      * Functionally pre-load @p line into the L2 (no timing, no
      * traffic). Used to warm caches so short simulations measure
      * steady-state behaviour instead of cold misses.
+     *
+     * @return the line this displaced from the L2, if any (a
+     *         functional displacement: no writeback is modelled).
      */
-    void warmLine(LineAddr line);
+    std::optional<LineAddr> warmLine(LineAddr line);
 
     /**
      * Functionally pre-load @p line into @p p's L1 (and the L2 and
@@ -252,6 +256,13 @@ class MemorySystem : public SimObject
 
     /** Peek the directory entry for @p line (testing/debug). */
     const DirEntry *peekDir(LineAddr line) const;
+
+    /** The tag arrays (testing/benches). */
+    const CacheArray &l1Array(ProcId p) const { return l1s.at(p).array; }
+    const CacheArray &l2Array() const { return l2; }
+
+    /** Line address of byte address @p addr. */
+    LineAddr lineOfAddr(Addr addr) const { return addr >> lineShift; }
 
     unsigned numDirs() const { return static_cast<unsigned>(dirs.size()); }
 
@@ -304,7 +315,7 @@ class MemorySystem : public SimObject
         std::size_t sent() const { return mshrs.size() - waiting.size(); }
 
         CacheArray array;
-        std::unordered_map<LineAddr, Mshr> mshrs; //!< every missing line
+        FlatMap<LineAddr, Mshr> mshrs; //!< every missing line
         std::deque<LineAddr> waiting; //!< unsent lines of mshrs, FIFO
         CacheListener *listener = nullptr;
     };
@@ -376,14 +387,15 @@ class MemorySystem : public SimObject
     CacheArray::VictimFilter filterFor(ProcId p);
 
     MemParams prm;
+    unsigned lineShift; //!< prm.l1.lineShift()
     Network &net;
     FaultPlane *faults = nullptr;
     std::optional<ResendConfig> resend; //!< set iff hardened
 
     std::uint64_t nextCommit = 0;   //!< CommitRecord ids
     std::uint64_t nextCommitMsg = 0; //!< DirCommit ids (trace labels)
-    std::unordered_map<std::uint64_t, CommitRecord> commits;
-    std::unordered_map<std::uint64_t, DirCommit> dirCommits;
+    FlatMap<std::uint64_t, CommitRecord> commits;
+    FlatMap<std::uint64_t, DirCommit> dirCommits;
 
     std::vector<L1> l1s;
     CacheArray l2;
@@ -393,7 +405,7 @@ class MemorySystem : public SimObject
      *  bounce, Section 4.3.2). */
     std::vector<std::vector<SigPtr>> committingSigs;
 
-    std::unordered_map<Addr, std::uint64_t> values;
+    FlatMap<Addr, std::uint64_t> values;
 
     // stats
     std::uint64_t nBounced = 0;

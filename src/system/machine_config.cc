@@ -178,6 +178,18 @@ MachineConfig::validate(std::string &err) const
                         std::to_string(g->sizeBytes) +
                         ") must be a multiple of assoc * line bytes");
         }
+        // Tag arrays index sets with a mask and lines with a shift.
+        if (!isPowerOf2(g->lineBytes)) {
+            return fail(std::string(name) + " line bytes (" +
+                        std::to_string(g->lineBytes) +
+                        ") must be a power of two");
+        }
+        if (!isPowerOf2(g->numSets())) {
+            return fail(std::string(name) + " set count (" +
+                        std::to_string(g->numSets()) +
+                        " = size / (assoc * line bytes)) must be a "
+                        "power of two");
+        }
     }
     if (isBulk(model) && mem.l1.assoc < 2) {
         return fail("BulkSC models need an l1 assoc of at least 2 — a "

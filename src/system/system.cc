@@ -1,5 +1,6 @@
 #include "system/system.hh"
 
+#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workload/generator.hh"
@@ -134,46 +135,65 @@ System::stateFingerprint() const
     return mix64(h ^ memSys->fingerprint());
 }
 
+void
+System::warmUp()
+{
+    // Warm everything except the streaming region (whose whole point
+    // is to expose memory latency). Per processor, the first-touched
+    // lines also warm the L1 — earliest-touched most-recently-used —
+    // and per-processor-private lines whose first access is a store
+    // start out dirty-owned, seeding the steady-state pattern the
+    // dypvt optimization captures.
+    //
+    // Each op's line is warmed into the L2 in trace order. Warming a
+    // present line is a no-op, so the walk warms a line only while it
+    // is not known present: at its first touch, and again after a
+    // warm of another line displaced it from the L2.
+    struct FirstTouch
+    {
+        bool dirty = false;   //!< warm into the L1 dirty-owned
+        bool present = false; //!< known to be in the L2
+    };
+    for (unsigned p = 0; p < procs.size(); ++p) {
+        FlatMap<LineAddr, FirstTouch> touched;
+        std::vector<LineAddr> order; // first-touch order
+        for (const Op &op : traces[p].ops) {
+            if (op.addr >= layout::kStreamBase)
+                continue;
+            const LineAddr line = memSys->lineOfAddr(op.addr);
+            auto [t, fresh] = touched.tryEmplace(line);
+            if (fresh) {
+                const bool priv = (op.addr >= layout::kStackBase &&
+                                   op.addr < layout::kSharedBase) ||
+                                  op.addr >= layout::kLockBase;
+                t->dirty = op.type == OpType::Store && priv &&
+                           op.addr < layout::kLockBase;
+                order.push_back(line);
+            }
+            if (t->present)
+                continue;
+            t->present = true;
+            if (auto victim = memSys->warmLine(line)) {
+                if (FirstTouch *v = touched.find(*victim))
+                    v->present = false;
+            }
+        }
+        // The earliest-touched lines should be resident (and most
+        // recently used) at simulation start: take the first L1-sized
+        // prefix of the touch order and insert it back-to-front.
+        std::size_t count = order.size();
+        if (count > cfg.mem.l1.numLines())
+            count = cfg.mem.l1.numLines();
+        for (std::size_t i = count; i-- > 0;)
+            memSys->warmL1(p, order[i], touched.find(order[i])->dirty);
+    }
+}
+
 Results
 System::run(Tick limit)
 {
-    if (cfg.warmCaches) {
-        // Warm everything except the streaming region (whose whole
-        // point is to expose memory latency). Per processor, the
-        // first-touched lines also warm the L1 — earliest-touched
-        // most-recently-used — and per-processor-private lines whose
-        // first access is a store start out dirty-owned, seeding the
-        // steady-state pattern the dypvt optimization captures.
-        for (unsigned p = 0; p < procs.size(); ++p) {
-            const Trace &t = traces[p];
-            std::unordered_map<LineAddr, bool> first; // line -> dirty
-            std::vector<LineAddr> order;
-            for (const Op &op : t.ops) {
-                if (op.addr >= layout::kStreamBase)
-                    continue;
-                LineAddr line = lineOf(op.addr, cfg.mem.l1.lineBytes);
-                memSys->warmLine(line);
-                if (first.count(line))
-                    continue;
-                bool priv =
-                    (op.addr >= layout::kStackBase &&
-                     op.addr < layout::kSharedBase) ||
-                    op.addr >= layout::kLockBase;
-                first[line] = op.type == OpType::Store && priv &&
-                              op.addr < layout::kLockBase;
-                order.push_back(line);
-            }
-            // The earliest-touched lines should be resident (and most
-            // recently used) at simulation start: take the first
-            // L1-sized prefix of the touch order and insert it
-            // back-to-front.
-            std::size_t count = order.size();
-            if (count > cfg.mem.l1.numLines())
-                count = cfg.mem.l1.numLines();
-            for (std::size_t i = count; i-- > 0;)
-                memSys->warmL1(p, order[i], first[order[i]]);
-        }
-    }
+    if (cfg.warmCaches)
+        warmUp();
     for (auto &p : procs)
         p->start();
     if (dog)

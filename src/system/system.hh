@@ -78,9 +78,19 @@ class System
     System &operator=(const System &) = delete;
 
     /**
-     * Run to completion (or until @p limit ticks).
+     * Run to completion (or until @p limit ticks). Warms the caches
+     * first (warmUp()) unless the config says not to.
      */
     Results run(Tick limit = kTickNever);
+
+    /**
+     * Functional cache warm-up: each processor's trace lines (all but
+     * the streaming region) into the L2 in trace order, then its
+     * earliest-touched lines into its L1 and the directory, before
+     * tick 0. Each line is visited once per processor, plus once more
+     * each time another line's warm-up displaces it from the L2.
+     */
+    void warmUp();
 
     /**
      * Attach the checker plane (BulkSC models only; none selected

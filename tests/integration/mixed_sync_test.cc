@@ -10,6 +10,11 @@
  * Dirty after an owner fetch had taken the line away, so the next store
  * to it skipped W and was never published. Every processor then spun
  * on BarrierWait with the count one short.
+ *
+ * With the shared lines in the L1 sets of the lock and barrier words,
+ * a transaction's store could find its set filled by the predecessor
+ * chunk, and the simulation aborted as if the transaction itself had
+ * overflowed the L1.
  */
 
 #include <gtest/gtest.h>
@@ -25,9 +30,8 @@ constexpr unsigned kTraceSets = 120;
 constexpr unsigned kRounds = 3;
 constexpr unsigned kSharedLines = 16;
 
-/** The shared lines take L1 sets 32-47, clear of the lock, lock-data
- *  and barrier words (sets 0-2, 16, 129 and 136): a transaction's store
- *  then always finds a way, as transactions are cache-bounded. */
+/** By default the shared lines take L1 sets 32-47, clear of the lock,
+ *  lock-data and barrier words (sets 0-2, 16, 129 and 136). */
 constexpr Addr kSharedFirst =
     layout::kSharedBase + 32 * kDefaultLineBytes;
 
@@ -39,7 +43,9 @@ constexpr Tick kCeiling = 3'000'000;
 class TraceWriter
 {
   public:
-    TraceWriter(Rng &r, ProcId p) : rng(r), proc(p) {}
+    TraceWriter(Rng &r, ProcId p, Addr shared_first)
+        : rng(r), proc(p), sharedFirst(shared_first)
+    {}
 
     Trace
     build()
@@ -65,7 +71,7 @@ class TraceWriter
     Addr
     sharedAddr()
     {
-        return kSharedFirst + rng.below(kSharedLines) * kDefaultLineBytes;
+        return sharedFirst + rng.below(kSharedLines) * kDefaultLineBytes;
     }
 
     void
@@ -124,19 +130,20 @@ class TraceWriter
 
     Rng &rng;
     ProcId proc;
+    Addr sharedFirst;
     Trace trace;
     std::uint32_t stores = 0;
 };
 
 /** Trace set @p seed: 2 to 4 processors. */
 std::vector<Trace>
-traceSet(std::uint64_t seed)
+traceSet(std::uint64_t seed, Addr shared_first = kSharedFirst)
 {
     Rng rng(seed * 7919 + 1);
     const auto procs = static_cast<ProcId>(2 + rng.below(3));
     std::vector<Trace> traces;
     for (ProcId p = 0; p < procs; ++p)
-        traces.push_back(TraceWriter(rng, p).build());
+        traces.push_back(TraceWriter(rng, p, shared_first).build());
     return traces;
 }
 
@@ -156,6 +163,30 @@ TEST_P(MixedSync, EveryTraceSetCompletes)
             << modelName(GetParam()) << " trace set " << seed << " ("
             << cfg.numProcs << " procs) did not finish by tick "
             << kCeiling;
+    }
+}
+
+/**
+ * Shared lines in L1 sets 0-15, with the barrier count, lock 0 and its
+ * data: on trace set 107 (2 procs) a transaction's store finds its set
+ * filled by the predecessor chunk's lines. It waits for that chunk to
+ * commit instead of aborting the run.
+ */
+TEST(MixedSyncTxn, StoreWaitsForPredecessorChunkFillingItsSet)
+{
+    for (Model m : {Model::BSCbase, Model::BSCdypvt, Model::BSCexact}) {
+        std::vector<Trace> traces = traceSet(107, layout::kSharedBase);
+        ASSERT_EQ(traces.size(), 2u);
+        MachineConfig cfg;
+        cfg.model = m;
+        cfg.numProcs = 2;
+        System sys(cfg, std::move(traces));
+        sys.enableAnalysis(/*axiomatic=*/true);
+        Results r = sys.run(kCeiling);
+        EXPECT_TRUE(r.completed) << modelName(m);
+        ASSERT_TRUE(r.stats.has("analysis.sc_cycles")) << modelName(m);
+        EXPECT_EQ(r.stats.get("analysis.sc_cycles"), 0) << modelName(m);
+        EXPECT_GT(r.stats.get("bulk.commits"), 0) << modelName(m);
     }
 }
 

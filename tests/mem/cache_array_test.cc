@@ -29,7 +29,8 @@ TEST(CacheGeometry, DerivedQuantities)
     CacheGeometry g{32 * 1024, 4, 32};
     EXPECT_EQ(g.numLines(), 1024u);
     EXPECT_EQ(g.numSets(), 256u);
-    EXPECT_EQ(g.setIndex(0x100), 0x100u % 256);
+    EXPECT_EQ(g.setMask(), 255u);
+    EXPECT_EQ(g.lineShift(), 5u);
 }
 
 TEST(CacheArray, MissThenHit)

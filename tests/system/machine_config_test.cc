@@ -140,5 +140,49 @@ TEST(MachineConfig, RejectsDirectMappedL1ForBulkModels)
     }
 }
 
+/** Cache arrays index sets by mask and lines by shift: a line size
+ *  or set count that is not a power of two is a named config error,
+ *  not a fatal deep inside the tag array. */
+TEST(MachineConfig, RejectsNonPowerOfTwoCacheGeometry)
+{
+    auto check = [](auto edit) {
+        MachineConfig cfg;
+        cfg.numProcs = 2;
+        edit(cfg);
+        std::string err;
+        return cfg.validate(err) ? std::string() : err;
+    };
+    // 48 B lines, with sizes that hold a power-of-two set count.
+    std::string err = check([](MachineConfig &c) {
+        c.mem.l1 = CacheGeometry{48 * 4 * 128, 4, 48};
+        c.mem.l2 = CacheGeometry{48 * 8 * 1024, 8, 48};
+    });
+    EXPECT_NE(err.find("l1 line bytes (48) must be a power of two"),
+              std::string::npos) << err;
+    err = check([](MachineConfig &c) {
+        c.mem.l2 = CacheGeometry{48 * 8 * 1024, 8, 48};
+    });
+    EXPECT_NE(err.find("l2 line bytes (48) must be a power of two"),
+              std::string::npos) << err;
+    // 24 KB of 32 B lines: 4 ways make 192 sets, 3 ways make 256.
+    err = check([](MachineConfig &c) {
+        c.mem.l1 = CacheGeometry{24 * 1024, 4, 32};
+    });
+    EXPECT_NE(err.find("l1 set count (192"), std::string::npos) << err;
+    err = check([](MachineConfig &c) {
+        c.mem.l2 = CacheGeometry{6 * 1024 * 1024, 8, 32};
+    });
+    EXPECT_NE(err.find("l2 set count (24576"), std::string::npos) << err;
+    // Any associativity is fine while the set count is a power of two.
+    EXPECT_EQ(check([](MachineConfig &c) {
+                  c.mem.l1 = CacheGeometry{24 * 1024, 3, 32};
+              }),
+              "");
+    EXPECT_EQ(check([](MachineConfig &c) {
+                  c.mem.l2 = CacheGeometry{16 * 1024, 2, 32};
+              }),
+              "");
+}
+
 } // namespace
 } // namespace bulksc
